@@ -3,32 +3,44 @@
 Subcommands: generate (params JSON -> dataset CSV), fit (dataset CSV ->
 regressor JSON), evaluate (regressor + params -> metrics JSON), sweep
 (config JSON -> results CSV), lower-bound (sandwich table CSV), diagnose
-(oracle self-check suites CSV).  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+(oracle self-check suites CSV).  Exit codes: 0 success, 2 input or
+configuration error (any malformed JSON, config or CSV input), 3 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FairRegressionError
+from .errors import ConfigError, DimensionError, FairRegressionError, ParameterError
 from .eigdiag import min_eig_tail_check
 from .estimator import fit
 from .experiments import SweepConfig, run_lower_bound_report, run_sweep
 from .lower_bound import build_family, kl_conditional, kl_conditional_sample
 from .metrics import GaussianLaw1D, unfairness, w2_empirical, w2_gaussian
-from .model import Dataset, GroupAffineRegressor, ModelParams, sample_dataset, validate_params
+from .model import (
+    Dataset,
+    GroupAffineRegressor,
+    ModelParams,
+    sample_dataset,
+    to_dict,
+    validate_params,
+)
 from .oracle import analytic_excess_risk, build_fdp
 
 
 def _load_params(path: str) -> ModelParams:
-    params = ModelParams.from_json(Path(path).read_text())
+    try:
+        params = ModelParams.from_json(Path(path).read_text())
+    except (ParameterError, DimensionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     report = validate_params(params)
     if report:
         raise ConfigError("invalid model parameters: " + "; ".join(report))
@@ -43,49 +55,58 @@ def _cmd_generate(args) -> None:
 
 def _cmd_fit(args) -> None:
     data = Dataset.from_csv(args.data, M=args.M)
+    if data.d != args.d:
+        raise ConfigError(f"{args.data} has {data.d} feature columns, --d is {args.d}")
     regressor, estimates = fit(data, args.d, args.M, args.seed)
-    payload = {
-        "regressor": json.loads(regressor.to_json()),
-        "estimates": json.loads(estimates.to_json()),
-    }
+    payload = {"regressor": to_dict(regressor), "estimates": to_dict(estimates)}
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _load_regressor(path: str, params: ModelParams) -> GroupAffineRegressor:
+    """A regressor JSON: a ``fit`` payload or a bare {"w": ..., "b": ...} object."""
+    obj = json.loads(Path(path).read_text())
+    try:
+        obj = obj.get("regressor", obj)
+        regressor = GroupAffineRegressor(w=obj["w"], b=obj["b"])
+    except (AttributeError, KeyError, TypeError, ValueError, DimensionError) as exc:
+        raise ConfigError(f"{path}: malformed regressor JSON: {exc!r}") from exc
+    if regressor.w.shape != (params.M, params.d):
+        raise ConfigError(
+            f"{path}: regressor w has shape {regressor.w.shape}, params need "
+            f"({params.M}, {params.d})"
+        )
+    return regressor
 
 
 def _cmd_evaluate(args) -> None:
     params = _load_params(args.params)
-    obj = json.loads(Path(args.regressor).read_text())
-    regressor = GroupAffineRegressor.from_json(
-        json.dumps(obj["regressor"] if "regressor" in obj else obj)
-    )
+    regressor = _load_regressor(args.regressor, params)
     oracle = build_fdp(params)
-    report = unfairness(regressor, params)
     payload = {
         "excess_risk": analytic_excess_risk(regressor, oracle),
-        "unfairness": json.loads(report.to_json()),
+        "unfairness": to_dict(unfairness(regressor, params)),
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_sweep(args) -> None:
     config = SweepConfig.from_json(Path(args.config).read_text())
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
-    if overrides:
-        merged = json.loads(Path(args.config).read_text())
-        merged.update(overrides)
-        config = SweepConfig.from_json(json.dumps(merged))
+    overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
+    config = dataclasses.replace(config, **overrides)
     if config.out is None:
         raise ConfigError("no output path: set 'out' in the config or pass --out")
     run_sweep(config, threads=args.threads)
 
 
 def _cmd_lower_bound(args) -> None:
-    n_grid = [int(tok) for tok in args.n_grid.split(",") if tok]
+    try:
+        n_grid = [int(tok) for tok in args.n_grid.split(",") if tok]
+    except ValueError:
+        n_grid = []
     if not n_grid:
         raise ConfigError("--n-grid must be a comma-separated list of ints")
+    if args.trials < 2:
+        raise ConfigError(f"--trials must be >= 2, got {args.trials}")
     run_lower_bound_report(
         d=args.d,
         M=args.M,

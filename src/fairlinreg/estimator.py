@@ -9,7 +9,6 @@ constant on tiny groups.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,25 +45,14 @@ class SplitPlan:
         )
 
 
-def _cut(perm: np.ndarray, blocks: int) -> list[np.ndarray]:
-    m = len(perm)
-    base, rem = divmod(m, blocks)
-    sizes = [base + (1 if b < rem else 0) for b in range(blocks)]
-    out, start = [], 0
-    for size in sizes:
-        out.append(perm[start : start + size])
-        start += size
-    return out
-
-
 def make_split(dataset: Dataset, seed: int | np.random.SeedSequence) -> SplitPlan:
     """Randomly permute each group's indices and cut into contiguous blocks."""
     rng = np.random.default_rng(seed)
     d1, d2, d3, dp1, dp2 = [], [], [], [], []
     for s in range(dataset.M):
         idx = dataset.group_indices(s)
-        three = _cut(rng.permutation(idx), 3)
-        two = _cut(rng.permutation(idx), 2)
+        three = np.array_split(rng.permutation(idx), 3)
+        two = np.array_split(rng.permutation(idx), 2)
         d1.append(three[0])
         d2.append(three[1])
         d3.append(three[2])
@@ -74,18 +62,21 @@ def make_split(dataset: Dataset, seed: int | np.random.SeedSequence) -> SplitPla
 
 
 def ols(x_rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients via factorization; no explicit inverse."""
+    """Least-squares coefficients via one SVD-based solve; no explicit inverse.
+
+    The solve's singular values gate the Gram condition (sv_max / sv_min)^2.
+    """
     x_rows = np.asarray(x_rows, dtype=float)
     y = np.asarray(y, dtype=float)
     m, d = x_rows.shape
     if m < d:
         raise SingularMatrixError(f"need at least d={d} rows, got {m}")
-    sv = np.linalg.svd(x_rows, compute_uv=False)
-    if sv[-1] == 0.0 or (sv[0] / sv[-1]) ** 2 > MAX_GRAM_CONDITION:
+    coef, _, _, sv = np.linalg.lstsq(x_rows, y, rcond=None)
+    condition = (sv[0] / sv[-1]) ** 2 if sv[-1] > 0.0 else np.inf
+    if condition > MAX_GRAM_CONDITION:
         raise SingularMatrixError(
-            f"Gram matrix condition estimate {np.inf if sv[-1] == 0 else (sv[0] / sv[-1]) ** 2:.3g} exceeds {MAX_GRAM_CONDITION:.0e}"
+            f"Gram matrix condition estimate {condition:.3g} exceeds {MAX_GRAM_CONDITION:.0e}"
         )
-    coef, *_ = np.linalg.lstsq(x_rows, y, rcond=None)
     return coef
 
 
@@ -102,22 +93,6 @@ class ComponentEstimates:
     mu_prime_hat: np.ndarray   # (M, d)
     gate_18d: np.ndarray       # (M,) bool: n_s > 18 d
     gate_12d: np.ndarray       # (M,) bool: n_s > 12 d
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p_hat": self.p_hat.tolist(),
-                "norm_hat_s": self.norm_hat_s.tolist(),
-                "norm_hat_bar": self.norm_hat_bar,
-                "dir_hat": self.dir_hat.tolist(),
-                "mu_hat": self.mu_hat.tolist(),
-                "beta_prime_hat": self.beta_prime_hat.tolist(),
-                "mu_prime_hat": self.mu_prime_hat.tolist(),
-                "gate_18d": self.gate_18d.tolist(),
-                "gate_12d": self.gate_12d.tolist(),
-            },
-            indent=2,
-        )
 
 
 def fit(

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,13 @@ from .lower_bound import (
     packed_pair_separation,
 )
 from .metrics import conditional_law, unfairness, w2_gaussian
-from .model import GroupAffineRegressor, ModelParams, sample_dataset, validate_params
+from .model import (
+    GroupAffineRegressor,
+    ModelParams,
+    norm_diversity_factor,
+    sample_dataset,
+    validate_params,
+)
 from .oracle import analytic_excess_risk, build_fdp
 
 SWEEP_SCHEMA = "fairlinreg-sweep-1"
@@ -64,11 +71,26 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("n_grid", "d_grid", "M_grid"):
             values = getattr(self, name)
-            if not values or any(int(v) < 1 for v in values):
+            if not (
+                isinstance(values, (list, tuple))
+                and values
+                and all(_is_int(v) and v >= 1 for v in values)
+            ):
                 raise ConfigError(f"{name} must be a nonempty list of positive ints")
             object.__setattr__(self, name, tuple(int(v) for v in values))
+        for name in ("trials", "seed", "mc_samples"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in ("B", "U", "sigma_x", "sigma_xi", "delta"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.B <= 0 or self.U <= 0 or self.sigma_x <= 0 or self.sigma_xi < 0:
             raise ConfigError("B, U, sigma_x must be positive and sigma_xi >= 0")
         if not 0.0 < self.delta < 1.0:
@@ -92,6 +114,10 @@ class SweepConfig:
         return cls(**obj)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def random_valid_params(
     d: int, M: int, B: float, U: float, sigma_x: float, sigma_xi: float, rng
 ) -> ModelParams:
@@ -104,7 +130,7 @@ def random_valid_params(
     p = np.full(M, 1.0 / M)
     for _ in range(10_000):
         norms = np.exp(rng.uniform(math.log(B / 4.0), math.log(B), size=M))
-        if (p @ norms) ** 2 * np.mean(norms ** -2.0) <= B ** 2:
+        if norm_diversity_factor(p, norms) <= B ** 2:
             break
     else:
         raise ConfigError("could not sample norms satisfying the diversity bound")
@@ -329,8 +355,10 @@ def run_lower_bound_report(
     per-block code, the worst pairwise KL, and the Fano value built from
     the smallest pairwise two-point risk separation; next to it, the mean
     analytic excess risk of the plugin estimator fit on data drawn from one
-    member of the same family.
+    member of the same family.  trials >= 2, so each mean has a standard error.
     """
+    if trials < 2:
+        raise ParameterError(f"need trials >= 2 for a standard error, got {trials}")
     p = np.full(M, 1.0 / M)
     n_grid = [int(n) for n in n_grid]
     min_dist = max((d - 1) // 8, 1)

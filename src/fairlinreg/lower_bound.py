@@ -8,8 +8,6 @@ assembly.
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .model import ModelParams, _frozen_array
+from .model import ModelParams, _frozen_array, norm_diversity_factor
+from .oracle import build_fdp
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,7 @@ class PackedFamily:
         p = np.asarray(p, dtype=float)
         beta = self.beta_of(v)
         # B must cover both the max norm and the norm-diversity factor.
-        bar = float(p @ self.B_s)
-        diversity = bar ** 2 * float(np.mean(self.B_s ** -2.0))
-        B = max(float(self.B_s.max()), math.sqrt(diversity))
+        B = max(float(self.B_s.max()), math.sqrt(norm_diversity_factor(p, self.B_s)))
         return ModelParams(
             d=self.d,
             M=self.M,
@@ -72,22 +69,6 @@ class PackedFamily:
             sigma_xi=sigma_xi,
             B=B,
             U=1.0,
-        )
-
-    def all_codewords(self):
-        """Lazily enumerate the full sign-pattern cube {-1,+1}^{M x (d-1)}."""
-        for bits in itertools.product((-1, 1), repeat=self.M * (self.d - 1)):
-            yield np.array(bits, dtype=np.int8).reshape(self.M, self.d - 1)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "M": self.M,
-                "B_s": self.B_s.tolist(),
-                "eps_s": self.eps_s.tolist(),
-            },
-            indent=2,
         )
 
 
@@ -119,14 +100,6 @@ class CodeSet:
     @property
     def size(self) -> int:
         return len(self.codewords)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "codewords": [np.asarray(v).tolist() for v in self.codewords],
-                "min_block_distance": self.min_block_distance,
-            }
-        )
 
 
 def gv_code(
@@ -269,14 +242,6 @@ def packed_pair_separation(
     return float(per.sum())
 
 
-def _fair_slopes(theta: ModelParams) -> tuple[np.ndarray, float]:
-    norms = np.linalg.norm(theta.beta, axis=1)
-    if np.any(norms == 0.0):
-        raise ParameterError("two-point bound needs nonzero coefficient norms")
-    bar = float(theta.p @ norms)
-    return bar * theta.beta / norms[:, None], bar
-
-
 @dataclass(frozen=True)
 class TwoPointBound:
     """Two-point minimax lower bound on the worse of two excess risks.
@@ -296,8 +261,8 @@ def two_point_bound(theta: ModelParams, theta_prime: ModelParams) -> TwoPointBou
     must be < 1 for every group.
     """
     _check_shared(theta, theta_prime)
-    u, _ = _fair_slopes(theta)
-    u_prime, _ = _fair_slopes(theta_prime)
+    u = build_fdp(theta).fdp.w
+    u_prime = build_fdp(theta_prime).fdp.w
     sx2 = theta.sigma_x ** 2
     d = theta.d
 

@@ -8,7 +8,6 @@ Monte Carlo excess-risk estimator for arbitrary regressors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -117,20 +116,6 @@ class UnfairnessReport:
     kol_max: float
     avg_w2: float
     pairwise: np.ndarray  # (M, M) symmetric, zero diagonal
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "w2_max": self.w2_max,
-                "kol_max": self.kol_max,
-                "avg_w2": self.avg_w2,
-                "pairwise": self.pairwise.tolist(),
-            },
-            indent=2,
-        )
-
-    def csv_fields(self) -> list[str]:
-        return [f"{v:.17g}" for v in (self.w2_max, self.kol_max, self.avg_w2)]
 
 
 def unfairness(f: GroupAffineRegressor, params: ModelParams) -> UnfairnessReport:

@@ -8,15 +8,14 @@ convention) throughout.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ConfigError, DimensionError, ParameterError
 
 # Absolute slack on the constraint-set inequalities; absorbs float round-off.
 CONSTRAINT_TOL = 1e-9
@@ -27,6 +26,23 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def to_dict(obj) -> dict:
+    """A dataclass's fields, in field order, as JSON-ready values (arrays as lists)."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
+
+
+def norm_diversity_factor(p: np.ndarray, norms: np.ndarray) -> float:
+    """Left side of the second norm-diversity inequality.
+
+    (sum_s p_s ||beta_s||)^2 * (1/M) * sum_s ||beta_s||^-2, for positive norms.
+    """
+    return float((p @ norms) ** 2 * np.mean(norms ** -2.0))
 
 
 @dataclass(frozen=True)
@@ -67,31 +83,14 @@ class ModelParams:
         return np.linalg.norm(self.beta, axis=1)
 
     def diversity_factor(self) -> float:
-        """Left side of the second norm-diversity inequality.
-
-        (sum_s p_s ||beta_s||)^2 * (1/M) * sum_s ||beta_s||^-2; defined only
-        when all norms are positive.
-        """
+        """``norm_diversity_factor`` of this model; needs every ||beta_s|| > 0."""
         norms = self.beta_norms
         if np.any(norms == 0.0):
             raise ParameterError("diversity factor undefined for zero-norm beta_s")
-        return float((self.p @ norms) ** 2 * np.mean(norms ** -2.0))
+        return norm_diversity_factor(self.p, norms)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "M": self.M,
-                "beta": self.beta.tolist(),
-                "mu": self.mu.tolist(),
-                "p": self.p.tolist(),
-                "sigma_x": self.sigma_x,
-                "sigma_xi": self.sigma_xi,
-                "B": self.B,
-                "U": self.U,
-            },
-            indent=2,
-        )
+        return json.dumps(to_dict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
@@ -108,16 +107,24 @@ class ModelParams:
                 B=float(obj["B"]),
                 U=float(obj["U"]),
             )
-        except KeyError as exc:
-            raise ParameterError(f"missing field in params JSON: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"missing or malformed field in params JSON: {exc}") from exc
 
 
 def validate_params(params: ModelParams) -> list[str]:
     """Return a report of violated constraints (empty iff the params are valid).
 
     Each entry names the constraint and the measured value.  Pure reporting:
-    never raises for a mathematical violation.
+    never raises for a mathematical violation.  Non-finite values are
+    reported alone, since no other constraint can be measured on them.
     """
+    nonfinite = [
+        name
+        for name in ("beta", "mu", "p", "sigma_x", "sigma_xi", "B", "U")
+        if not np.all(np.isfinite(getattr(params, name)))
+    ]
+    if nonfinite:
+        return [f"parameters must be finite: NaN or inf in {', '.join(nonfinite)}"]
     report: list[str] = []
     p = params.p
     psum = float(p.sum())
@@ -194,28 +201,41 @@ class Dataset:
         return np.flatnonzero(self.s == s)
 
     def to_csv(self, path: str | Path) -> None:
+        """Write a header and one ``%.17g`` row per observation, CRLF-terminated."""
         header = [f"x_{j + 1}" for j in range(self.d)] + ["s", "y"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.n):
-                row = [f"{v:.17g}" for v in self.x[i]]
-                row.append(str(int(self.s[i]) + 1))
-                row.append(f"{self.y[i]:.17g}")
-                writer.writerow(row)
+        np.savetxt(
+            path,
+            np.column_stack([self.x, self.s + 1, self.y]),
+            fmt=["%.17g"] * self.d + ["%d", "%.17g"],
+            delimiter=",",
+            header=",".join(header),
+            comments="",
+            newline="\r\n",
+        )
 
     @classmethod
     def from_csv(cls, path: str | Path, M: int) -> "Dataset":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            d = len(header) - 2
-            xs, ss, ys = [], [], []
-            for row in reader:
-                xs.append([float(v) for v in row[:d]])
-                ss.append(int(row[d]) - 1)
-                ys.append(float(row[d + 1]))
-        return cls(x=np.array(xs).reshape(len(ys), d), s=np.array(ss), y=np.array(ys), M=M)
+        """Read a ``to_csv`` file; any malformed content raises ``ConfigError``."""
+        with open(path) as fh:
+            d = len(fh.readline().split(",")) - 2
+            if d < 1:
+                raise ConfigError(f"dataset CSV {path}: header needs x columns, s and y")
+            try:
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(f"malformed dataset CSV {path}: {exc}") from exc
+        if table.size == 0:
+            raise ConfigError(f"dataset CSV {path} has no data rows")
+        if table.shape[1] != d + 2:
+            raise ConfigError(
+                f"dataset CSV {path}: rows have {table.shape[1]} fields, header has {d + 2}"
+            )
+        if not np.all(np.isfinite(table)):
+            raise ConfigError(f"dataset CSV {path} contains NaN or inf")
+        labels = table[:, d]
+        if not np.all((labels == np.round(labels)) & (labels >= 1) & (labels <= M)):
+            raise ConfigError(f"dataset CSV {path}: group labels must be integers in 1..{M}")
+        return cls(x=table[:, :d], s=labels.astype(np.int64) - 1, y=table[:, d + 1], M=M)
 
 
 def sample_dataset(
@@ -267,14 +287,6 @@ class GroupAffineRegressor:
         if x.shape[-1] != self.d:
             raise DimensionError(f"x has dimension {x.shape[-1]}, expected {self.d}")
         return np.einsum("ij,ij->i", self.w[s], np.atleast_2d(x)) + self.b[s]
-
-    def to_json(self) -> str:
-        return json.dumps({"w": self.w.tolist(), "b": self.b.tolist()}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroupAffineRegressor":
-        obj = json.loads(text)
-        return cls(w=obj["w"], b=obj["b"])
 
 
 def evaluate(regressor: GroupAffineRegressor, x: Sequence[float], s: int) -> float:

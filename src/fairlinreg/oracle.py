@@ -8,7 +8,6 @@ the per-group conditional output laws.  They must agree pointwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +29,6 @@ class FairOracle:
     fdp: GroupAffineRegressor
     bar_norm: float
     const_term: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bar_norm": self.bar_norm,
-                "const_term": self.const_term,
-                "fdp": json.loads(self.fdp.to_json()),
-            },
-            indent=2,
-        )
 
 
 def _check_nondegenerate(params: ModelParams) -> np.ndarray:

@@ -51,6 +51,10 @@ class TestSweepConfig:
             SweepConfig(n_grid=(0,), d_grid=(2,), M_grid=(2,), trials=1, seed=0)
         with pytest.raises(ConfigError):
             SweepConfig(n_grid=(10,), d_grid=(2,), M_grid=(2,), trials=0, seed=0)
+        base = {"n_grid": [10], "d_grid": [2], "M_grid": [2], "trials": 1, "seed": 0}
+        for bad in ({"n_grid": ["abc"]}, {"trials": 1.5}, {"seed": "x"}):
+            with pytest.raises(ConfigError):
+                SweepConfig.from_json(json.dumps({**base, **bad}))
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ConfigError):
@@ -167,6 +171,13 @@ class TestLowerBoundReport:
         with pytest.raises(ParameterError):
             run_lower_bound_report(3, 2, [1000], 1.0, 1.0, 1.0, seed=0)
 
+    def test_single_trial_rejected(self):
+        # one trial has no standard error
+        with pytest.raises(ParameterError):
+            run_lower_bound_report(
+                9, 4, [1000], 1.0, 1.0, 1.0, seed=0, trials=1, code_budget=50
+            )
+
     def test_diversity_spread_increases_risk(self):
         # shrinking one group's norm target raises the diversity factor and
         # the measured estimation difficulty at fixed n
@@ -217,7 +228,14 @@ class TestCli:
         ) == 0
         payload = json.loads(metrics.read_text())
         assert payload["excess_risk"] >= 0.0
-        assert "w2_max" in payload["unfairness"]
+        assert list(payload["unfairness"]) == ["w2_max", "kol_max", "avg_w2", "pairwise"]
+        fitted = json.loads(reg.read_text())
+        assert list(fitted) == ["regressor", "estimates"]
+        assert list(fitted["regressor"]) == ["w", "b"]
+        assert list(fitted["estimates"]) == [
+            "p_hat", "norm_hat_s", "norm_hat_bar", "dir_hat", "mu_hat",
+            "beta_prime_hat", "mu_prime_hat", "gate_18d", "gate_12d",
+        ]
 
     def test_sweep_thread_invariance(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -257,6 +275,49 @@ class TestCli:
         assert main(
             ["generate", "--params", str(tmp_path / "missing.json"), "--n", "10",
              "--out", str(tmp_path / "y.csv")]
+        ) == 2
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "1,2,1,3\n1,2,1\n",     # short row
+            "1,2,1,3\n1,abc,1,3\n",  # non-numeric cell
+            "1,nan,1,3\n1,2,2,inf\n",  # non-finite values
+            "1,2,0,3\n",             # group label outside 1..M
+        ],
+        ids=["short_row", "non_numeric", "non_finite", "bad_label"],
+    )
+    def test_malformed_csv_exit_code(self, tmp_path, rows):
+        data = tmp_path / "bad.csv"
+        data.write_text("x_1,x_2,s,y\n" + rows)
+        assert main(
+            ["fit", "--data", str(data), "--d", "2", "--M", "2",
+             "--seed", "0", "--out", str(tmp_path / "r.json")]
+        ) == 2
+
+    def test_malformed_json_exit_code(self, tmp_path, params_file):
+        obj = json.loads(params_file.read_text())
+        nan_params = tmp_path / "nan.json"
+        nan_params.write_text(json.dumps({**obj, "sigma_x": float("nan")}))
+        typo_params = tmp_path / "typo.json"
+        typo_params.write_text(json.dumps({**obj, "beta": "abc"}))
+        for bad in (nan_params, typo_params):
+            assert main(
+                ["generate", "--params", str(bad), "--n", "10",
+                 "--out", str(tmp_path / "d.csv")]
+            ) == 2
+        reg = tmp_path / "reg.json"
+        for text in ('{"w": [[1.0]], "b": [0.0]}', "[1, 2]", '{"w": "abc"}'):
+            reg.write_text(text)
+            assert main(
+                ["evaluate", "--regressor", str(reg), "--params", str(params_file),
+                 "--out", str(tmp_path / "m.json")]
+            ) == 2
+
+    def test_lower_bound_single_trial_exit_code(self, tmp_path):
+        assert main(
+            ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1000",
+             "--trials", "1", "--out", str(tmp_path / "lb.csv")]
         ) == 2
 
     def test_numerical_error_exit_code(self, tmp_path, params_file):

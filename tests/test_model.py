@@ -1,5 +1,7 @@
 """Tests for the data-generating model, validation, and serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,21 @@ class TestValidateParams:
     def test_probability_sum_checked(self):
         params = make_params([[1.0], [1.0]], p=[0.6, 0.6])
         assert any("sum to 1" in line for line in validate_params(params))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["sigma_x", "sigma_xi", "B", "U", "beta", "mu", "p"])
+    def test_nonfinite_rejected(self, name, value):
+        params = make_params([[1.0, 0.0], [0.0, 1.0]], B=1.0)
+        field = getattr(params, name)
+        if isinstance(field, np.ndarray):
+            field = field.copy()
+            field.flat[0] = value
+        else:
+            field = value
+        bad = dataclasses.replace(params, **{name: field})
+        assert any("finite" in line and line.endswith(name) for line in validate_params(bad))
+        with pytest.raises(ParameterError):
+            sample_dataset(bad, 10, seed=0)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
@@ -132,6 +149,22 @@ class TestSerialization:
         assert np.array_equal(back.x, data.x)
         assert np.array_equal(back.s, data.s)
         assert np.array_equal(back.y, data.y)
+
+    def test_dataset_csv_bytes(self, tmp_path):
+        # reference: the csv module's default dialect, 17 significant digits
+        import csv
+        import io
+
+        params = make_params([[1.0, 0.0], [0.0, 1.0]])
+        data = sample_dataset(params, 20, seed=4)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["x_1", "x_2", "s", "y"])
+        for x, s, y in zip(data.x, data.s, data.y):
+            writer.writerow([f"{v:.17g}" for v in x] + [str(s + 1), f"{y:.17g}"])
+        path = tmp_path / "data.csv"
+        data.to_csv(path)
+        assert path.read_bytes() == buf.getvalue().encode()
 
     def test_csv_group_labels_one_based(self, tmp_path):
         params = make_params([[1.0], [1.0]])
