@@ -48,6 +48,8 @@ def _load_params(path: str) -> ModelParams:
 
 
 def _cmd_generate(args) -> None:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     params = _load_params(args.params)
     data = sample_dataset(params, args.n, args.seed)
     data.to_csv(args.out)
@@ -103,10 +105,14 @@ def _cmd_lower_bound(args) -> None:
         n_grid = [int(tok) for tok in args.n_grid.split(",") if tok]
     except ValueError:
         n_grid = []
-    if not n_grid:
-        raise ConfigError("--n-grid must be a comma-separated list of ints")
+    if not n_grid or min(n_grid) < 1:
+        raise ConfigError("--n-grid must be a comma-separated list of positive ints")
     if args.trials < 2:
         raise ConfigError(f"--trials must be >= 2, got {args.trials}")
+    if args.d < 2 or args.M * (args.d - 1) <= 16:
+        raise ConfigError(f"need d >= 2 and M(d-1) > 16, got d={args.d}, M={args.M}")
+    if not (np.isfinite(args.B) and args.B > 0):
+        raise ConfigError(f"--B must be a positive number, got {args.B}")
     run_lower_bound_report(
         d=args.d,
         M=args.M,
@@ -218,6 +224,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         args.func(args)
     except (ConfigError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

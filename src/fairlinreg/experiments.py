@@ -30,9 +30,8 @@ from .lower_bound import (
     packed_pair_kl,
     packed_pair_separation,
 )
-from .metrics import conditional_law, unfairness, w2_gaussian
+from .metrics import UnfairnessReport, unfairness
 from .model import (
-    GroupAffineRegressor,
     ModelParams,
     norm_diversity_factor,
     sample_dataset,
@@ -83,7 +82,9 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         for name in ("B", "U", "sigma_x", "sigma_xi", "delta"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
@@ -190,28 +191,24 @@ def component_errors(
 
 
 def parity_gap_margin(
-    regressor: GroupAffineRegressor,
+    report: UnfairnessReport,
     estimates: ComponentEstimates,
     params: ModelParams,
 ) -> float:
     """Slack in the fitted-regressor parity bound, minimized over group pairs.
 
     For every pair (s, s'), the W2 distance between the fitted regressor's
-    conditional laws is bounded by 2B times the worse mean-estimation leak
-    |<dir_hat_s, mu_s - mu_hat_s>|.  Returns min over pairs of bound - W2;
-    nonnegative (up to float slack) means the inequality holds everywhere.
+    conditional laws (``report.pairwise``) is bounded by 2B times the worse
+    mean-estimation leak |<dir_hat_s, mu_s - mu_hat_s>|.  Returns min over
+    pairs of bound - W2 (inf when M = 1); nonnegative (up to float slack)
+    means the inequality holds everywhere.
     """
-    laws = [conditional_law(regressor, params, s) for s in range(params.M)]
     leaks = np.abs(
         np.einsum("ij,ij->i", estimates.dir_hat, params.mu - estimates.mu_hat)
     )
-    margin = math.inf
-    for s in range(params.M):
-        for t in range(s + 1, params.M):
-            lhs = w2_gaussian(laws[s], laws[t])
-            rhs = 2.0 * params.B * max(leaks[s], leaks[t])
-            margin = min(margin, rhs - lhs)
-    return margin if params.M > 1 else math.inf
+    bound = 2.0 * params.B * np.maximum.outer(leaks, leaks)
+    upper = np.triu_indices(params.M, k=1)
+    return float((bound - report.pairwise)[upper].min(initial=math.inf))
 
 
 def undersampled(n: int, d: int, M: int, p_min: float, delta: float) -> bool:
@@ -237,7 +234,7 @@ def _run_trial(config: SweepConfig, cell_idx: int, cell, trial: int) -> list:
     risk = analytic_excess_risk(regressor, oracle)
     report = unfairness(regressor, params)
     errors = component_errors(params, estimates)
-    margin = parity_gap_margin(regressor, estimates, params)
+    margin = parity_gap_margin(report, estimates, params)
     flag = undersampled(n, d, M, float(params.p.min()), config.delta)
     return [
         n, d, M, config.B, trial,
@@ -365,26 +362,22 @@ def run_lower_bound_report(
     code = gv_code(d - 1, M, min_dist, code_budget, seed)
     if code.size < 2:
         raise ParameterError("code search produced fewer than 2 codewords")
+    C = code.codewords
     rows = []
     for n_idx, n in enumerate(n_grid):
         n_counts = np.round(n * p)
         eps = hard_instance_eps(d, M, sigma_xi, sigma_x, B_s, n_counts)
         family = build_family(d, M, B_s, eps)
         kl_max = 0.0
-        sep_min = math.inf
-        for i in range(code.size):
-            for j in range(i + 1, code.size):
-                v, w = code.codewords[i], code.codewords[j]
-                kl_max = max(
-                    kl_max, packed_pair_kl(family, v, w, n_counts, sigma_x, sigma_xi)
-                )
-                sep_min = min(
-                    sep_min, packed_pair_separation(family, v, w, p, sigma_x)
-                )
-        epsilon = sep_min
+        epsilon = math.inf
+        for i in range(code.size - 1):  # row against later rows: O(K M d) memory
+            kl = packed_pair_kl(family, C[i], C[i + 1:], n_counts, sigma_x, sigma_xi)
+            sep = packed_pair_separation(family, C[i], C[i + 1:], p, sigma_x)
+            kl_max = max(kl_max, float(kl.max()))
+            epsilon = min(epsilon, float(sep.min()))
         fano = fano_value(epsilon, code.size, kl_max)
 
-        params = family.params_of(code.codewords[0], p, sigma_x, sigma_xi)
+        params = family.params_of(C[0], p, sigma_x, sigma_xi)
         oracle = build_fdp(params)
         risks = np.empty(trials)
         for t in range(trials):

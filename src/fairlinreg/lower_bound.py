@@ -86,15 +86,15 @@ def build_family(d: int, M: int, B_s, eps_s) -> PackedFamily:
 
 
 def block_hamming(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-block Hamming distances between two (M, d-1) sign matrices."""
-    return np.count_nonzero(np.asarray(v) != np.asarray(w), axis=1)
+    """Per-block Hamming distances of sign matrices, broadcast over leading axes."""
+    return np.count_nonzero(np.asarray(v) != np.asarray(w), axis=-1)
 
 
 @dataclass(frozen=True)
 class CodeSet:
     """A set of sign matrices with a guaranteed per-block minimum distance."""
 
-    codewords: list
+    codewords: np.ndarray  # (K, blocks, block_length) int8
     min_block_distance: int
 
     @property
@@ -115,21 +115,18 @@ def gv_code(
     if block_length < 1:
         raise ParameterError(f"block length must be >= 1, got {block_length}")
     rng = np.random.default_rng(seed)
-    accepted: list[np.ndarray] = []
+    accepted = np.empty((0, blocks, block_length), dtype=np.int8)
     achieved = block_length  # max possible per-block distance
     for _ in range(budget):
         cand = rng.choice((-1, 1), size=(blocks, block_length)).astype(np.int8)
-        dists = [block_hamming(cand, w) for w in accepted]
+        dists = block_hamming(accepted, cand)  # (accepted so far, blocks)
         if min_dist >= 1:
-            ok = all(int(dv.min()) >= min_dist for dv in dists)
+            ok = (dists >= min_dist).all()
         else:
-            ok = all(int(dv.max()) > 0 for dv in dists)  # reject only duplicates
+            ok = dists.any(axis=1).all()  # reject only duplicates
         if ok:
-            if dists:
-                achieved = min(achieved, min(int(dv.min()) for dv in dists))
-            accepted.append(cand)
-    if len(accepted) < 2:
-        achieved = block_length
+            achieved = int(dists.min(initial=achieved))
+            accepted = np.concatenate((accepted, cand[None]))
     return CodeSet(codewords=accepted, min_block_distance=achieved)
 
 
@@ -211,8 +208,8 @@ def packed_pair_kl(
     n_counts,
     sigma_x: float,
     sigma_xi: float,
-) -> float:
-    """Closed-form KL for two packed members (mu = 0 specialization)."""
+) -> np.ndarray:
+    """Closed-form KL of packed pairs (mu = 0), broadcast over leading axes."""
     n_counts = np.asarray(n_counts, dtype=float)
     d_h = block_hamming(v, v_prime)
     per = (
@@ -224,13 +221,13 @@ def packed_pair_kl(
         * d_h
         / (sigma_xi ** 2 * (family.d - 1))
     )
-    return float(per.sum())
+    return per.sum(axis=-1)
 
 
 def packed_pair_separation(
     family: PackedFamily, v: np.ndarray, v_prime: np.ndarray, p, sigma_x: float
-) -> float:
-    """Two-point risk separation of two packed members, in closed form.
+) -> np.ndarray:
+    """Two-point risk separation of packed pairs, broadcast over leading axes.
 
     Equals one quarter of the exact L2 distance between the members' fair
     regressors — the value of the two-point lower bound at mu = 0.
@@ -239,7 +236,7 @@ def packed_pair_separation(
     bar = float(p @ family.B_s)
     d_h = block_hamming(v, v_prime)
     per = p * bar ** 2 * sigma_x ** 2 * family.eps_s ** 2 * d_h / (family.d - 1)
-    return float(per.sum())
+    return per.sum(axis=-1)
 
 
 @dataclass(frozen=True)

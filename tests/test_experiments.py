@@ -11,8 +11,13 @@ from fairlinreg import (
     ParameterError,
     SweepConfig,
     analytic_excess_risk,
+    build_family,
     build_fdp,
     fit_slope,
+    gv_code,
+    hard_instance_eps,
+    packed_pair_kl,
+    packed_pair_separation,
     random_valid_params,
     run_lower_bound_report,
     run_sweep,
@@ -52,7 +57,10 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(n_grid=(10,), d_grid=(2,), M_grid=(2,), trials=0, seed=0)
         base = {"n_grid": [10], "d_grid": [2], "M_grid": [2], "trials": 1, "seed": 0}
-        for bad in ({"n_grid": ["abc"]}, {"trials": 1.5}, {"seed": "x"}):
+        for bad in (
+            {"n_grid": ["abc"]}, {"trials": 1.5}, {"seed": "x"},
+            {"sigma_x": True}, {"B": False},
+        ):
             with pytest.raises(ConfigError):
                 SweepConfig.from_json(json.dumps({**base, **bad}))
 
@@ -170,6 +178,31 @@ class TestLowerBoundReport:
     def test_precondition(self):
         with pytest.raises(ParameterError):
             run_lower_bound_report(3, 2, [1000], 1.0, 1.0, 1.0, seed=0)
+
+    def test_pair_reduction_matches_per_pair_loop(self):
+        # reference: the explicit loop over every codeword pair
+        d, M, n_grid, budget, seed = 9, 4, [1000, 4000], 200, 3
+        result = run_lower_bound_report(
+            d, M, n_grid, 1.0, 1.2, 0.8, seed=seed, trials=2, code_budget=budget
+        )
+        code = gv_code(d - 1, M, 1, budget, seed)
+        assert np.all(result.column("K") == code.size)
+        p = np.full(M, 1.0 / M)
+        pairs = [
+            (code.codewords[i], code.codewords[j])
+            for i in range(code.size)
+            for j in range(i + 1, code.size)
+        ]
+        for n, kl, eps in zip(n_grid, result.column("kl"), result.column("epsilon")):
+            n_counts = np.round(n * p)
+            radii = hard_instance_eps(d, M, 0.8, 1.2, 1.0, n_counts)
+            family = build_family(d, M, 1.0, radii)
+            assert kl == max(
+                packed_pair_kl(family, v, w, n_counts, 1.2, 0.8) for v, w in pairs
+            )
+            assert eps == min(
+                packed_pair_separation(family, v, w, p, 1.2) for v, w in pairs
+            )
 
     def test_single_trial_rejected(self):
         # one trial has no standard error
@@ -313,6 +346,31 @@ class TestCli:
                 ["evaluate", "--regressor", str(reg), "--params", str(params_file),
                  "--out", str(tmp_path / "m.json")]
             ) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--params", "{params}", "--n", "10", "--seed", "-1"],
+            ["fit", "--data", "{data}", "--d", "3", "--M", "2", "--seed", "-1"],
+            ["diagnose", "--seed", "-1"],
+            ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1000", "--seed", "-1"],
+            ["generate", "--params", "{params}", "--n", "0"],
+            ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "0"],
+            ["lower-bound", "--d", "2", "--M", "4", "--n-grid", "1000"],
+            ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1000", "--B", "-1"],
+        ],
+        ids=[
+            "generate_seed", "fit_seed", "diagnose_seed", "lower_bound_seed",
+            "generate_n0", "n_grid_0", "lower_bound_small_dM", "lower_bound_B",
+        ],
+    )
+    def test_flag_fault_exit_code(self, tmp_path, params_file, argv):
+        data = tmp_path / "data.csv"
+        assert main(
+            ["generate", "--params", str(params_file), "--n", "200", "--out", str(data)]
+        ) == 0
+        argv = [arg.format(params=params_file, data=data) for arg in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
 
     def test_lower_bound_single_trial_exit_code(self, tmp_path):
         assert main(

@@ -87,10 +87,47 @@ class TestGvCode:
     def test_per_block_distance_guaranteed(self):
         code = gv_code(block_length=8, blocks=4, min_dist=1, budget=2_000, seed=3)
         assert code.size >= 2
-        for i in range(code.size):
-            for j in range(i + 1, code.size):
-                assert block_hamming(code.codewords[i], code.codewords[j]).min() >= 1
-        assert code.min_block_distance >= 1
+        assert code.codewords.shape == (code.size, 4, 8)
+        assert code.codewords.dtype == np.int8
+        closest = min(
+            block_hamming(code.codewords[i], code.codewords[j]).min()
+            for i in range(code.size)
+            for j in range(i + 1, code.size)
+        )
+        assert closest >= 1
+        assert code.min_block_distance == closest
+
+
+class TestBroadcastPairs:
+    """A codeword against a stack of later ones equals the per-pair calls."""
+
+    def test_block_hamming_row_against_stack(self):
+        code = gv_code(block_length=8, blocks=4, min_dist=1, budget=300, seed=7)
+        C = code.codewords
+        for i in range(code.size - 1):
+            per_pair = [block_hamming(C[i], C[j]) for j in range(i + 1, code.size)]
+            assert np.array_equal(block_hamming(C[i], C[i + 1:]), per_pair)
+
+    @pytest.mark.parametrize("d, M", [(9, 4), (17, 3), (5, 11)])
+    def test_packed_pairs_row_against_stack(self, d, M):
+        rng = np.random.default_rng(d * M)
+        family = build_family(
+            d, M, rng.uniform(0.3, 2.0, size=M), rng.uniform(0.05, 0.9, size=M)
+        )
+        C = rng.choice((-1, 1), size=(12, M, d - 1)).astype(np.int8)
+        p = rng.dirichlet(np.ones(M))
+        n_counts = rng.integers(1, 500, size=M)
+        for i in range(len(C) - 1):
+            kl = packed_pair_kl(family, C[i], C[i + 1:], n_counts, 1.3, 0.7)
+            sep = packed_pair_separation(family, C[i], C[i + 1:], p, 1.1)
+            assert kl.shape == sep.shape == (len(C) - 1 - i,)
+            assert np.array_equal(
+                kl,
+                [packed_pair_kl(family, C[i], w, n_counts, 1.3, 0.7) for w in C[i + 1:]],
+            )
+            assert np.array_equal(
+                sep, [packed_pair_separation(family, C[i], w, p, 1.1) for w in C[i + 1:]]
+            )
 
 
 class TestKl:
