@@ -72,6 +72,8 @@ def _load_regressor(path: str, params: ModelParams) -> GroupAffineRegressor:
         regressor = GroupAffineRegressor(w=obj["w"], b=obj["b"])
     except (AttributeError, KeyError, TypeError, ValueError, DimensionError) as exc:
         raise ConfigError(f"{path}: malformed regressor JSON: {exc!r}") from exc
+    if not (np.all(np.isfinite(regressor.w)) and np.all(np.isfinite(regressor.b))):
+        raise ConfigError(f"{path}: regressor w and b must be finite")
     if regressor.w.shape != (params.M, params.d):
         raise ConfigError(
             f"{path}: regressor w has shape {regressor.w.shape}, params need "
@@ -92,6 +94,8 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     config = SweepConfig.from_json(Path(args.config).read_text())
     overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
     config = dataclasses.replace(config, **overrides)

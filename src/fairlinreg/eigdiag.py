@@ -33,30 +33,15 @@ class EigDiag:
 
 
 def gram_eigs(x_rows: np.ndarray) -> EigDiag:
-    """Extreme eigenvalues of (1/m) X^T X.
-
-    Closed forms for d <= 2 keep tiny cases exact; larger dimensions use a
-    symmetric eigensolve.
-    """
+    """Extreme eigenvalues of (1/m) X^T X, from one symmetric eigensolve."""
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     if not np.all(np.isfinite(x_rows)):
         raise ParameterError("gram_eigs requires finite input")
     m, d = x_rows.shape
     if m < 1:
         raise ParameterError("gram_eigs requires at least one row")
-    gram = x_rows.T @ x_rows / m
-    if d == 1:
-        lo = hi = float(gram[0, 0])
-    elif d == 2:
-        half_tr = 0.5 * (gram[0, 0] + gram[1, 1])
-        disc = math.sqrt(
-            max(0.25 * (gram[0, 0] - gram[1, 1]) ** 2 + gram[0, 1] ** 2, 0.0)
-        )
-        lo, hi = half_tr - disc, half_tr + disc
-    else:
-        eigs = np.linalg.eigvalsh(gram)
-        lo, hi = float(eigs[0]), float(eigs[-1])
-    return EigDiag(lambda_min=lo, lambda_max=hi, n=m, d=d)
+    eigs = np.linalg.eigvalsh(x_rows.T @ x_rows / m)
+    return EigDiag(lambda_min=float(eigs[0]), lambda_max=float(eigs[-1]), n=m, d=d)
 
 
 def min_eig_tail_bound(t: float, sigma_x: float, n: int) -> float:

@@ -64,7 +64,6 @@ class SweepConfig:
     sigma_x: float = 1.0
     sigma_xi: float = 1.0
     delta: float = 0.1
-    mc_samples: int = 0
     out: str | None = None
 
     def __post_init__(self):
@@ -77,7 +76,7 @@ class SweepConfig:
             ):
                 raise ConfigError(f"{name} must be a nonempty list of positive ints")
             object.__setattr__(self, name, tuple(int(v) for v in values))
-        for name in ("trials", "seed", "mc_samples"):
+        for name in ("trials", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         for name in ("B", "U", "sigma_x", "sigma_xi", "delta"):

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DimensionError, ParameterError
 from .model import GroupAffineRegressor, ModelParams, sample_dataset
-from .oracle import FairOracle
+from .oracle import FairOracle, _std_normal_cdf
 
 # Chunk size for Monte Carlo accumulation; fixed so results are independent
 # of how chunks are scheduled.
@@ -89,9 +88,9 @@ def kolmogorov_gaussian(a: GaussianLaw1D, b: GaussianLaw1D) -> float:
         return 0.0 if a.mean == b.mean else 1.0
     if a.std == 0.0 or b.std == 0.0:
         point, gauss = (a, b) if a.std == 0.0 else (b, a)
-        return float(norm.cdf(abs(point.mean - gauss.mean) / gauss.std))
+        return _std_normal_cdf(abs(point.mean - gauss.mean) / gauss.std)
     if a.std == b.std:
-        return float(2.0 * norm.cdf(abs(a.mean - b.mean) / (2.0 * a.std)) - 1.0)
+        return 2.0 * _std_normal_cdf(abs(a.mean - b.mean) / (2.0 * a.std)) - 1.0
     # Density crossings: quadratic in t from equating log densities.
     c2 = 1.0 / b.std ** 2 - 1.0 / a.std ** 2
     c1 = 2.0 * (a.mean / a.std ** 2 - b.mean / b.std ** 2)
@@ -102,10 +101,11 @@ def kolmogorov_gaussian(a: GaussianLaw1D, b: GaussianLaw1D) -> float:
     )
     roots = np.roots([c2, c1, c0])
     roots = roots[np.abs(roots.imag) < 1e-12].real
-    gaps = np.abs(
-        norm.cdf((roots - a.mean) / a.std) - norm.cdf((roots - b.mean) / b.std)
+    cdf = _std_normal_cdf
+    return max(
+        (abs(cdf((r - a.mean) / a.std) - cdf((r - b.mean) / b.std)) for r in roots),
+        default=0.0,
     )
-    return float(gaps.max()) if gaps.size else 0.0
 
 
 @dataclass(frozen=True)

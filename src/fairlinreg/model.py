@@ -107,7 +107,7 @@ class ModelParams:
                 B=float(obj["B"]),
                 U=float(obj["U"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"missing or malformed field in params JSON: {exc}") from exc
 
 

@@ -8,10 +8,11 @@ the per-group conditional output laws.  They must agree pointwise.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DegenerateDirectionError, DimensionError
 from .model import GroupAffineRegressor, ModelParams
@@ -56,11 +57,21 @@ def build_fdp(params: ModelParams) -> FairOracle:
     )
 
 
+def _std_normal_cdf(x: float) -> float:
+    """Standard normal CDF; erfc, unlike 1 + erf, does not cancel in the lower tail."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _roundtrip_standard_normal(z: np.ndarray) -> np.ndarray:
-    """Compute ppf(cdf(z)) through the nearer tail to keep precision for |z| large."""
+    """Compute ppf(cdf(z)) through the nearer tail to keep precision for |z| large.
+
+    A tail probability that underflows to 0 maps to the infinite quantile.
+    """
     z = np.asarray(z, dtype=float)
-    tail = norm.cdf(-np.abs(z))
-    return -np.sign(z) * norm.ppf(tail)
+    ppf = statistics.NormalDist().inv_cdf
+    tail = [_std_normal_cdf(-abs(v)) for v in z.flat]
+    q = np.array([ppf(t) if t > 0.0 else -math.inf for t in tail]).reshape(z.shape)
+    return -np.sign(z) * q
 
 
 def quantile_compose_fdp(params: ModelParams, x: np.ndarray, s) -> np.ndarray | float:

@@ -59,7 +59,7 @@ class TestSweepConfig:
         base = {"n_grid": [10], "d_grid": [2], "M_grid": [2], "trials": 1, "seed": 0}
         for bad in (
             {"n_grid": ["abc"]}, {"trials": 1.5}, {"seed": "x"},
-            {"sigma_x": True}, {"B": False},
+            {"sigma_x": True}, {"B": False}, {"mc_samples": 0},
         ):
             with pytest.raises(ConfigError):
                 SweepConfig.from_json(json.dumps({**base, **bad}))
@@ -334,18 +334,25 @@ class TestCli:
         nan_params.write_text(json.dumps({**obj, "sigma_x": float("nan")}))
         typo_params = tmp_path / "typo.json"
         typo_params.write_text(json.dumps({**obj, "beta": "abc"}))
-        for bad in (nan_params, typo_params):
+        huge_d = tmp_path / "huge_d.json"
+        no_d = {k: v for k, v in obj.items() if k != "d"}
+        huge_d.write_text('{"d": 1e400, ' + json.dumps(no_d)[1:])
+        for bad in (nan_params, typo_params, huge_d):
             assert main(
                 ["generate", "--params", str(bad), "--n", "10",
                  "--out", str(tmp_path / "d.csv")]
             ) == 2
         reg = tmp_path / "reg.json"
-        for text in ('{"w": [[1.0]], "b": [0.0]}', "[1, 2]", '{"w": "abc"}'):
+        for text in (
+            '{"w": [[1.0]], "b": [0.0]}', "[1, 2]", '{"w": "abc"}',
+            '{"w": [[NaN, 0, 0], [0, 0, 0]], "b": [0, 0]}',
+        ):
             reg.write_text(text)
             assert main(
                 ["evaluate", "--regressor", str(reg), "--params", str(params_file),
                  "--out", str(tmp_path / "m.json")]
             ) == 2
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -358,10 +365,13 @@ class TestCli:
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "0"],
             ["lower-bound", "--d", "2", "--M", "4", "--n-grid", "1000"],
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1000", "--B", "-1"],
+            ["sweep", "--config", "{config}", "--threads", "0"],
+            ["sweep", "--config", "{config}", "--threads", "-3"],
         ],
         ids=[
             "generate_seed", "fit_seed", "diagnose_seed", "lower_bound_seed",
             "generate_n0", "n_grid_0", "lower_bound_small_dM", "lower_bound_B",
+            "threads_0", "threads_negative",
         ],
     )
     def test_flag_fault_exit_code(self, tmp_path, params_file, argv):
@@ -369,7 +379,13 @@ class TestCli:
         assert main(
             ["generate", "--params", str(params_file), "--n", "200", "--out", str(data)]
         ) == 0
-        argv = [arg.format(params=params_file, data=data) for arg in argv]
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {"n_grid": [300], "d_grid": [2], "M_grid": [2], "trials": 1, "seed": 4}
+            )
+        )
+        argv = [arg.format(params=params_file, data=data, config=config) for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
 
     def test_lower_bound_single_trial_exit_code(self, tmp_path):

@@ -1,8 +1,14 @@
 """Tests for the population fair regressor and its exact risk formulas."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fairlinreg
 from fairlinreg import (
     DegenerateDirectionError,
     GroupAffineRegressor,
@@ -16,6 +22,7 @@ from fairlinreg import (
     true_regressor,
     unfairness,
 )
+from fairlinreg.oracle import _std_normal_cdf
 from _support import make_params
 
 
@@ -87,6 +94,48 @@ class TestQuantileCompose:
         direct = oracle.fdp.predict(x, s)
         composed = quantile_compose_fdp(params, x, s)
         assert np.max(np.abs(direct - composed)) < 1e-9
+
+    def test_infinite_where_the_tail_underflows(self):
+        # cdf(-40) underflows to 0, so the nearer-tail quantile is infinite
+        params = make_params([[1.0], [2.0]], B=2.0)
+        out = quantile_compose_fdp(params, np.array([[40.0], [-40.0]]), 0)
+        assert out.tolist() == [np.inf, -np.inf]
+
+
+class TestStandardNormal:
+    def test_cdf_matches_scipy_ndtr(self):
+        # within 4 ulp (< 1e-15 relative) for x >= 0; for x < 0 the CDF's
+        # relative condition number grows like x^2, so rounding x / sqrt(2)
+        # costs any erfc-based CDF, scipy's included, up to ~x^2 ulp
+        from scipy.special import ndtr
+
+        grid = np.linspace(-37.0, 37.0, 7401)
+        got = np.array([_std_normal_cdf(x) for x in grid])
+        rel = np.abs(got - ndtr(grid)) / ndtr(grid)
+        bound = 4 * np.finfo(float).eps * (1.0 + np.minimum(grid, 0.0) ** 2)
+        assert np.all(rel <= bound)
+
+    def test_fresh_interpreter_never_imports_scipy(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import fairlinreg as F\n"
+            "import fairlinreg.cli\n"
+            "rng = np.random.default_rng(0)\n"
+            "params = F.random_valid_params(3, 2, 1.5, 1.0, 1.0, 1.0, rng)\n"
+            "data = F.sample_dataset(params, 2000, 1)\n"
+            "regressor, _ = F.fit(data, 3, 2, 2)\n"
+            "F.unfairness(regressor, params)\n"
+            "F.quantile_compose_fdp(params, data.x, data.s)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(fairlinreg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestAnalyticExcessRisk:
