@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FairRegressionError, ParameterError
+from .errors import ConfigError, FairRegressionError
 from .eigdiag import min_eig_tail_check
 from .estimator import fit
 from .experiments import SweepConfig, run_lower_bound_report, run_sweep
@@ -29,6 +29,7 @@ from .model import (
     Dataset,
     GroupAffineRegressor,
     ModelParams,
+    from_dict,
     sample_dataset,
     to_dict,
     validate_params,
@@ -37,10 +38,7 @@ from .oracle import analytic_excess_risk, build_fdp
 
 
 def _load_params(path: str) -> ModelParams:
-    try:
-        params = ModelParams.from_json(Path(path).read_text())
-    except (ParameterError, DimensionError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    params = ModelParams.from_json(Path(path).read_text())
     report = validate_params(params)
     if report:
         raise ConfigError("invalid model parameters: " + "; ".join(report))
@@ -67,13 +65,9 @@ def _cmd_fit(args) -> None:
 def _load_regressor(path: str, params: ModelParams) -> GroupAffineRegressor:
     """A regressor JSON: a ``fit`` payload or a bare {"w": ..., "b": ...} object."""
     obj = json.loads(Path(path).read_text())
-    try:
-        obj = obj.get("regressor", obj)
-        regressor = GroupAffineRegressor(w=obj["w"], b=obj["b"])
-    except (AttributeError, KeyError, TypeError, ValueError, DimensionError) as exc:
-        raise ConfigError(f"{path}: malformed regressor JSON: {exc!r}") from exc
-    if not (np.all(np.isfinite(regressor.w)) and np.all(np.isfinite(regressor.b))):
-        raise ConfigError(f"{path}: regressor w and b must be finite")
+    if isinstance(obj, dict) and "regressor" in obj:
+        obj = obj["regressor"]
+    regressor = from_dict(GroupAffineRegressor, obj)
     if regressor.w.shape != (params.M, params.d):
         raise ConfigError(
             f"{path}: regressor w has shape {regressor.w.shape}, params need "
@@ -231,7 +225,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         args.func(args)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FairRegressionError, FloatingPointError) as exc:

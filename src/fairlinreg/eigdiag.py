@@ -9,10 +9,8 @@ above 1); those are reported but never asserted.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -107,17 +105,3 @@ def min_eig_tail_check(
         )
     return rows
 
-
-def tail_rows_to_csv(rows: list[TailRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "empirical_tail", "bound", "vacuous_flag"])
-        for row in rows:
-            writer.writerow(
-                [
-                    f"{row.t:.17g}",
-                    f"{row.empirical_tail:.17g}",
-                    f"{row.bound:.17g}",
-                    int(row.vacuous),
-                ]
-            )

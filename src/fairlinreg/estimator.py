@@ -35,15 +35,6 @@ class SplitPlan:
     dp1: list[np.ndarray]
     dp2: list[np.ndarray]
 
-    def sizes(self, s: int) -> tuple[int, int, int, int, int]:
-        return (
-            len(self.d1[s]),
-            len(self.d2[s]),
-            len(self.d3[s]),
-            len(self.dp1[s]),
-            len(self.dp2[s]),
-        )
-
 
 def make_split(dataset: Dataset, seed: int | np.random.SeedSequence) -> SplitPlan:
     """Randomly permute each group's indices and cut into contiguous blocks."""

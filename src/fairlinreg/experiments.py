@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +31,9 @@ from .lower_bound import (
 from .metrics import UnfairnessReport, unfairness
 from .model import (
     ModelParams,
+    _is_finite_real,
+    _is_int,
+    from_dict,
     norm_diversity_factor,
     sample_dataset,
     validate_params,
@@ -81,12 +82,10 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         for name in ("B", "U", "sigma_x", "sigma_xi", "delta"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and math.isfinite(value)
-            ):
+            if not _is_finite_real(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError(f"out must be a path string, got {self.out!r}")
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise ConfigError(f"out must be a nonempty path string, got {self.out!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -98,24 +97,7 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ConfigError("config JSON must be an object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"n_grid", "d_grid", "M_grid", "trials", "seed"} - set(obj)
-        if missing:
-            raise ConfigError(f"missing config fields: {sorted(missing)}")
-        return cls(**obj)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        return from_dict(cls, text)
 
 
 def random_valid_params(
@@ -305,7 +287,7 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
         for k in range(len(jobs)):
             work(k)
     result = SweepResult(rows=rows)
-    if config.out:
+    if config.out is not None:
         result.write_csv(config.out)
     return result
 

@@ -34,8 +34,8 @@ class PackedFamily:
     eps_s: np.ndarray  # (M,)
 
     def __post_init__(self):
-        object.__setattr__(self, "B_s", _frozen_array(self.B_s))
-        object.__setattr__(self, "eps_s", _frozen_array(self.eps_s))
+        object.__setattr__(self, "B_s", _frozen_array(self.B_s, "B_s"))
+        object.__setattr__(self, "eps_s", _frozen_array(self.eps_s, "eps_s"))
 
     def beta_of(self, v: np.ndarray) -> np.ndarray:
         """Materialize the (M, d) coefficient matrix for a sign pattern v."""

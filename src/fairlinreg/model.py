@@ -9,7 +9,9 @@ convention) throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -22,8 +24,20 @@ CONSTRAINT_TOL = 1e-9
 PROB_TOL = 1e-12
 
 
-def _frozen_array(a, dtype=float) -> np.ndarray:
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value)
+
+
+def _frozen_array(a, name: str, dtype=float) -> np.ndarray:
+    """A read-only contiguous copy of ``a``; float arrays must hold no NaN/inf."""
     out = np.ascontiguousarray(a, dtype=dtype)
+    if out.dtype.kind == "f" and not np.all(np.isfinite(out)):
+        raise ParameterError(f"{name} must be finite: it holds NaN or inf")
     out.setflags(write=False)
     return out
 
@@ -35,6 +49,32 @@ def to_dict(obj) -> dict:
         value = getattr(obj, f.name)
         out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     return out
+
+
+def from_dict(cls, obj):
+    """The inverse of ``to_dict``: the dataclass ``cls`` rebuilt from a JSON object.
+
+    ``obj`` is the parsed object or its JSON text.  It must hold exactly the
+    fields of ``cls``, less any that have defaults; the values go to the
+    constructor unchanged, so the constructor's checks are the only type
+    rules.  Every rejection is one ``ConfigError`` that names ``cls``.
+    """
+    name = cls.__name__
+    if isinstance(obj, str):
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{name}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name}: JSON must be an object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    if unknown or missing:
+        raise ConfigError(f"{name}: unknown fields {unknown}, missing fields {missing}")
+    try:
+        return cls(**obj)
+    except (TypeError, ValueError, ConfigError, ParameterError, DimensionError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def norm_diversity_factor(p: np.ndarray, norms: np.ndarray) -> float:
@@ -65,11 +105,15 @@ class ModelParams:
     U: float
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _frozen_array(self.beta))
-        object.__setattr__(self, "mu", _frozen_array(self.mu))
-        object.__setattr__(self, "p", _frozen_array(self.p))
-        if self.d < 1 or self.M < 1:
-            raise DimensionError(f"need d >= 1 and M >= 1, got d={self.d}, M={self.M}")
+        for name in ("beta", "mu", "p"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), name))
+        for name in ("sigma_x", "sigma_xi", "B", "U"):
+            value = getattr(self, name)
+            if not _is_finite_real(value):
+                raise ParameterError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not (_is_int(self.d) and _is_int(self.M) and self.d >= 1 and self.M >= 1):
+            raise DimensionError(f"need integer d, M >= 1, got d={self.d!r}, M={self.M!r}")
         for name, arr in (("beta", self.beta), ("mu", self.mu)):
             if arr.shape != (self.M, self.d):
                 raise DimensionError(
@@ -94,37 +138,15 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
-        obj = json.loads(text)
-        try:
-            return cls(
-                d=int(obj["d"]),
-                M=int(obj["M"]),
-                beta=obj["beta"],
-                mu=obj["mu"],
-                p=obj["p"],
-                sigma_x=float(obj["sigma_x"]),
-                sigma_xi=float(obj["sigma_xi"]),
-                B=float(obj["B"]),
-                U=float(obj["U"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"missing or malformed field in params JSON: {exc}") from exc
+        return from_dict(cls, text)
 
 
 def validate_params(params: ModelParams) -> list[str]:
     """Return a report of violated constraints (empty iff the params are valid).
 
     Each entry names the constraint and the measured value.  Pure reporting:
-    never raises for a mathematical violation.  Non-finite values are
-    reported alone, since no other constraint can be measured on them.
+    never raises for a mathematical violation.
     """
-    nonfinite = [
-        name
-        for name in ("beta", "mu", "p", "sigma_x", "sigma_xi", "B", "U")
-        if not np.all(np.isfinite(getattr(params, name)))
-    ]
-    if nonfinite:
-        return [f"parameters must be finite: NaN or inf in {', '.join(nonfinite)}"]
     report: list[str] = []
     p = params.p
     psum = float(p.sum())
@@ -175,9 +197,9 @@ class Dataset:
     M: int
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _frozen_array(self.x))
-        object.__setattr__(self, "s", _frozen_array(self.s, dtype=np.int64))
-        object.__setattr__(self, "y", _frozen_array(self.y))
+        object.__setattr__(self, "x", _frozen_array(self.x, "x"))
+        object.__setattr__(self, "s", _frozen_array(self.s, "s", dtype=np.int64))
+        object.__setattr__(self, "y", _frozen_array(self.y, "y"))
         if self.x.ndim != 2 or self.s.shape != (self.x.shape[0],) or self.y.shape != (
             self.x.shape[0],
         ):
@@ -230,12 +252,13 @@ class Dataset:
             raise ConfigError(
                 f"dataset CSV {path}: rows have {table.shape[1]} fields, header has {d + 2}"
             )
-        if not np.all(np.isfinite(table)):
-            raise ConfigError(f"dataset CSV {path} contains NaN or inf")
         labels = table[:, d]
         if not np.all((labels == np.round(labels)) & (labels >= 1) & (labels <= M)):
             raise ConfigError(f"dataset CSV {path}: group labels must be integers in 1..{M}")
-        return cls(x=table[:, :d], s=labels.astype(np.int64) - 1, y=table[:, d + 1], M=M)
+        try:
+            return cls(x=table[:, :d], s=labels.astype(np.int64) - 1, y=table[:, d + 1], M=M)
+        except ParameterError as exc:
+            raise ConfigError(f"dataset CSV {path}: {exc}") from exc
 
 
 def sample_dataset(
@@ -267,8 +290,8 @@ class GroupAffineRegressor:
     b: np.ndarray  # (M,)
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _frozen_array(self.w))
-        object.__setattr__(self, "b", _frozen_array(self.b))
+        object.__setattr__(self, "w", _frozen_array(self.w, "w"))
+        object.__setattr__(self, "b", _frozen_array(self.b, "b"))
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[0],):
             raise DimensionError("w must be (M, d) and b must be (M,)")
 

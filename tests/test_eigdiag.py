@@ -10,7 +10,6 @@ from fairlinreg import (
     min_eig_tail_bound,
     min_eig_tail_check,
 )
-from fairlinreg.eigdiag import tail_rows_to_csv
 
 
 class TestGramEigs:
@@ -87,16 +86,6 @@ class TestTailCheck:
         t, n = 1e-12, 60
         expect = (21.0 * np.exp(10.0) * t) ** (n / 6.0)
         assert min_eig_tail_bound(t, 1.0, n) == pytest.approx(expect, rel=1e-12)
-
-    def test_csv_emission(self, tmp_path):
-        rows = min_eig_tail_check(
-            np.zeros(2), 1.0, d=2, n=60, t_grid=[1e-12, 0.5], reps=200, seed=6
-        )
-        path = tmp_path / "tail.csv"
-        tail_rows_to_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,empirical_tail,bound,vacuous_flag"
-        assert len(lines) == 3
 
 
 class TestInverseExpectationBound:

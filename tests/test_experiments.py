@@ -1,9 +1,16 @@
 """Tests for sweep configuration, execution, determinism, and the CLI."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from _support import make_params
 from fairlinreg import (
@@ -21,6 +28,7 @@ from fairlinreg import (
     random_valid_params,
     run_lower_bound_report,
     run_sweep,
+    sample_dataset,
     validate_params,
 )
 from fairlinreg.cli import main
@@ -59,7 +67,7 @@ class TestSweepConfig:
         base = {"n_grid": [10], "d_grid": [2], "M_grid": [2], "trials": 1, "seed": 0}
         for bad in (
             {"n_grid": ["abc"]}, {"trials": 1.5}, {"seed": "x"},
-            {"sigma_x": True}, {"B": False}, {"mc_samples": 0},
+            {"sigma_x": True}, {"B": False}, {"mc_samples": 0}, {"out": ""},
         ):
             with pytest.raises(ConfigError):
                 SweepConfig.from_json(json.dumps({**base, **bad}))
@@ -309,6 +317,21 @@ class TestCli:
             ["generate", "--params", str(tmp_path / "missing.json"), "--n", "10",
              "--out", str(tmp_path / "y.csv")]
         ) == 2
+        good = tmp_path / "good.json"
+        good.write_text(
+            json.dumps(
+                {"n_grid": [300], "d_grid": [2], "M_grid": [2], "trials": 1, "seed": 4}
+            )
+        )
+        assert main(["sweep", "--config", str(good), "--out", ""]) == 2
+        latin1 = tmp_path / "latin1.bin"
+        latin1.write_bytes(b'{"d": "\xe9"}\n')
+        for argv in (
+            ["generate", "--params", str(latin1), "--n", "10"],
+            ["sweep", "--config", str(latin1)],
+            ["fit", "--data", str(latin1), "--d", "1", "--M", "1"],
+        ):
+            assert main(argv + ["--out", str(tmp_path / "z")]) == 2
 
     @pytest.mark.parametrize(
         "rows",
@@ -337,7 +360,15 @@ class TestCli:
         huge_d = tmp_path / "huge_d.json"
         no_d = {k: v for k, v in obj.items() if k != "d"}
         huge_d.write_text('{"d": 1e400, ' + json.dumps(no_d)[1:])
-        for bad in (nan_params, typo_params, huge_d):
+        bad_files = [nan_params, typo_params, huge_d]
+        for k, field in enumerate(
+            [{"d": 3.7}, {"M": 2.0}, {"M": True}, {"B": "1.5"}, {"sigma_x": "1"},
+             {"extra": 1}]
+        ):
+            path = tmp_path / f"bad{k}.json"
+            path.write_text(json.dumps({**obj, **field}))
+            bad_files.append(path)
+        for bad in bad_files:
             assert main(
                 ["generate", "--params", str(bad), "--n", "10",
                  "--out", str(tmp_path / "d.csv")]
@@ -407,3 +438,84 @@ class TestCli:
              "--seed", "0", "--out", str(tmp_path / "r.json")]
         )
         assert code == 3
+
+
+# What a hand-edited input file gets wrong, as JSON tokens (also written
+# verbatim into CSV cells): strings, bools, null, overflow, NaN, negative or
+# non-integral numbers, nested lists.
+FUZZ_TOKENS = st.one_of(
+    st.text(max_size=4).map(json.dumps),
+    st.sampled_from(["true", "false", "null", "1e400", "NaN", "[[1, 2], [3]]", "[]"]),
+    st.integers(-50, -1).map(str),
+    st.floats(-50, 50).filter(lambda v: v != round(v)).map(repr),
+)
+OP = st.sampled_from(["replace", "add", "drop"])
+
+
+def _fuzz_json(obj: dict, data) -> str:
+    """obj as JSON with one field or nested cell replaced, a field added, or one dropped."""
+    obj = copy.deepcopy(obj)
+    key = data.draw(st.sampled_from(sorted(obj)))
+    op = data.draw(OP)
+    if op == "drop":
+        del obj[key]
+        return json.dumps(obj)
+    if op == "add":
+        obj["unknown_field"] = "@FUZZ@"
+    else:
+        parent, index = obj, key
+        while isinstance(parent[index], list) and parent[index] and data.draw(st.booleans()):
+            parent, index = parent[index], data.draw(st.integers(0, len(parent[index]) - 1))
+        parent[index] = "@FUZZ@"
+    return json.dumps(obj).replace('"@FUZZ@"', data.draw(FUZZ_TOKENS))
+
+
+def _fuzz_csv(text: str, data) -> str:
+    """A CSV with one header field or cell replaced, a column added, or one dropped."""
+    grid = [line.split(",") for line in text.splitlines()]
+    row = data.draw(st.integers(0, len(grid) - 1))
+    col = data.draw(st.integers(0, len(grid[0]) - 1))
+    op = data.draw(OP)
+    if op == "replace":
+        grid[row][col] = data.draw(FUZZ_TOKENS)
+    elif op == "add":
+        token = data.draw(FUZZ_TOKENS)
+        grid = [grid[0] + ["extra"]] + [cells + [token] for cells in grid[1:]]
+    else:
+        grid = [cells[:col] + cells[col + 1:] for cells in grid]
+    return "\n".join(",".join(cells) for cells in grid) + "\n"
+
+
+class TestCliFuzz:
+    """Malformed input files reach the CLI: each run exits 0, 2 or 3 and raises nothing.
+
+    Accepted inputs stay tiny (n <= 200, d = M = 2, one trial) so a run is fast.
+    """
+
+    PARAMS = random_valid_params(2, 2, 1.5, 1.0, 1.0, 1.0, np.random.default_rng(0))
+    CONFIG = {
+        "n_grid": [200], "d_grid": [2], "M_grid": [2], "trials": 1, "seed": 3,
+        "B": 1.5, "U": 1.0, "sigma_x": 1.0, "sigma_xi": 1.0, "delta": 0.1,
+        "out": "unused.csv",  # --out overrides it, so runs write only to a temp dir
+    }
+
+    @pytest.mark.parametrize("command", ["generate", "sweep", "fit"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_in_contract(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "input", str(Path(tmp) / "out")
+            if command == "generate":
+                src.write_text(_fuzz_json(json.loads(self.PARAMS.to_json()), data))
+                argv = ["generate", "--params", str(src), "--n", "50", "--out", out]
+            elif command == "sweep":
+                src.write_text(_fuzz_json(self.CONFIG, data))
+                argv = ["sweep", "--config", str(src), "--out", out]
+            else:
+                sample_dataset(self.PARAMS, 120, seed=1).to_csv(src)
+                src.write_text(_fuzz_csv(src.read_text(), data))
+                argv = ["fit", "--data", str(src), "--d", "2", "--M", "2", "--out", out]
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        event(f"exit {code}")
+        assert code in (0, 2, 3)

@@ -1,6 +1,7 @@
 """Tests for the data-generating model, validation, and serialization."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from fairlinreg import (
     GroupAffineRegressor,
     ModelParams,
     ParameterError,
+    SweepConfig,
     evaluate,
     sample_dataset,
+    to_dict,
     validate_params,
 )
+from fairlinreg.model import from_dict
 
 
 class TestValidateParams:
@@ -62,10 +66,8 @@ class TestValidateParams:
             field.flat[0] = value
         else:
             field = value
-        bad = dataclasses.replace(params, **{name: field})
-        assert any("finite" in line and line.endswith(name) for line in validate_params(bad))
-        with pytest.raises(ParameterError):
-            sample_dataset(bad, 10, seed=0)
+        with pytest.raises(ParameterError, match=f"^{name} must be .*finite"):
+            dataclasses.replace(params, **{name: field})
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
@@ -123,7 +125,46 @@ class TestSampleDataset:
             sample_dataset(params, 10, seed=0)
 
 
+class TestConstructorChecks:
+    def test_non_integer_dimension_rejected(self):
+        params = make_params([[1.0, 0.0], [0.0, 1.0]], B=1.0)
+        for bad in ({"d": 3.7}, {"d": 2.0}, {"M": True}, {"M": "2"}):
+            with pytest.raises(DimensionError):
+                dataclasses.replace(params, **bad)
+
+    def test_scalars_stored_as_float(self):
+        params = make_params([[1.0, 0.0]], sigma_x=1, sigma_xi=0, B=2, U=1)
+        assert '"sigma_x": 1.0' in params.to_json()
+        for name in ("sigma_x", "sigma_xi", "B", "U"):
+            assert type(getattr(params, name)) is float
+
+    def test_regressor_nan_rejected(self):
+        with pytest.raises(ParameterError, match="^w must be finite"):
+            GroupAffineRegressor(w=[[1.0, np.nan]], b=[0.0])
+
+    def test_dataset_inf_rejected(self):
+        with pytest.raises(ParameterError, match="^x must be finite"):
+            Dataset(x=[[1.0, np.inf]], s=[0], y=[0.0], M=1)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            make_params([[1.0, 2.0], [0.5, -1.0]], mu=[[0.1, 0.2], [0.0, 0.5]], B=3.0),
+            SweepConfig(
+                n_grid=[100, 200], d_grid=[2], M_grid=[2, 3], trials=3, seed=1,
+                B=2.5, delta=0.2, out="results.csv",
+            ),
+            GroupAffineRegressor(w=[[0.1, -2.0], [1 / 3, 0.0]], b=[1e-300, -7.5]),
+        ],
+        ids=["ModelParams", "SweepConfig", "GroupAffineRegressor"],
+    )
+    def test_from_dict_inverts_to_dict(self, obj):
+        back = from_dict(type(obj), json.loads(json.dumps(to_dict(obj))))
+        assert type(back) is type(obj)
+        assert to_dict(back) == to_dict(obj)
+
     def test_params_json_roundtrip(self):
         params = make_params([[1.0, 2.0], [0.5, -1.0]], mu=[[0.1, 0.2], [0.0, 0.5]], B=3.0)
         back = ModelParams.from_json(params.to_json())
@@ -133,8 +174,6 @@ class TestSerialization:
         assert back.B == params.B and back.U == params.U
 
     def test_params_json_field_names(self):
-        import json
-
         obj = json.loads(make_params([[1.0]]).to_json())
         assert set(obj) == {"d", "M", "beta", "mu", "p", "sigma_x", "sigma_xi", "B", "U"}
 
