@@ -88,8 +88,6 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     config = SweepConfig.from_json(Path(args.config).read_text())
     overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
     config = dataclasses.replace(config, **overrides)
@@ -227,6 +225,9 @@ def main(argv=None) -> int:
         args.func(args)
     except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (FairRegressionError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -133,6 +133,11 @@ def random_valid_params(
     return params
 
 
+def _mean_leak(params: ModelParams, estimates: ComponentEstimates) -> np.ndarray:
+    """Per group, <dir_hat_s, mu_s - mu_hat_s>: the mean-estimation error on the slope."""
+    return np.einsum("ij,ij->i", estimates.dir_hat, params.mu - estimates.mu_hat)
+
+
 def component_errors(
     params: ModelParams, estimates: ComponentEstimates
 ) -> dict[str, float]:
@@ -140,10 +145,7 @@ def component_errors(
     norms = params.beta_norms
     bar_norm = float(params.p @ norms)
     directions = params.beta / norms[:, None]
-    e_mean = float(
-        params.p
-        @ np.einsum("ij,ij->i", estimates.dir_hat, params.mu - estimates.mu_hat) ** 2
-    )
+    e_mean = float(params.p @ _mean_leak(params, estimates) ** 2)
     e_norm = (estimates.norm_hat_bar - bar_norm) ** 2
     diff = estimates.dir_hat - directions
     e_coef = float(params.p @ np.einsum("ij,ij->i", diff, diff))
@@ -184,9 +186,7 @@ def parity_gap_margin(
     pairs of bound - W2 (inf when M = 1); nonnegative (up to float slack)
     means the inequality holds everywhere.
     """
-    leaks = np.abs(
-        np.einsum("ij,ij->i", estimates.dir_hat, params.mu - estimates.mu_hat)
-    )
+    leaks = np.abs(_mean_leak(params, estimates))
     bound = 2.0 * params.B * np.maximum.outer(leaks, leaks)
     upper = np.triu_indices(params.M, k=1)
     return float((bound - report.pairwise)[upper].min(initial=math.inf))
@@ -263,6 +263,8 @@ class SweepResult:
 
 def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Execute the full sweep grid; deterministic given config and seed."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     cells = [
         (n, d, M)
         for n in config.n_grid

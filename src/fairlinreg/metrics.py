@@ -159,9 +159,7 @@ def mc_excess_risk(
         db = f.b - oracle.fdp.b
     sums = []
     sq_sums = []
-    done = 0
-    chunk_idx = 0
-    while done < n_mc:
+    for chunk_idx, done in enumerate(range(0, n_mc, MC_CHUNK)):
         m = min(MC_CHUNK, n_mc - done)
         chunk_seed = np.random.SeedSequence(seed, spawn_key=(chunk_idx,))
         data = sample_dataset(params, m, chunk_seed)
@@ -174,8 +172,6 @@ def mc_excess_risk(
         sq = dev ** 2
         sums.append(sq.sum())
         sq_sums.append((sq ** 2).sum())
-        done += m
-        chunk_idx += 1
     total = math.fsum(sums)
     total_sq = math.fsum(sq_sums)
     est = total / n_mc

@@ -34,8 +34,14 @@ def _is_finite_real(value) -> bool:
 
 
 def _frozen_array(a, name: str, dtype=float) -> np.ndarray:
-    """A read-only contiguous copy of ``a``; float arrays must hold no NaN/inf."""
-    out = np.ascontiguousarray(a, dtype=dtype)
+    """``a`` as a read-only contiguous array: rectangular ints or finite floats only."""
+    try:
+        raw = np.asarray(a)
+    except ValueError:  # ragged nesting
+        raw = None
+    if raw is None or raw.dtype.kind not in "iuf":
+        raise ParameterError(f"{name} must be a rectangular array of numbers")
+    out = np.ascontiguousarray(raw, dtype=dtype)
     if out.dtype.kind == "f" and not np.all(np.isfinite(out)):
         raise ParameterError(f"{name} must be finite: it holds NaN or inf")
     out.setflags(write=False)

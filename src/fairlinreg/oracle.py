@@ -41,20 +41,19 @@ def _check_nondegenerate(params: ModelParams) -> np.ndarray:
     return norms
 
 
+def _assemble(bar_norm, directions, means, const_term) -> GroupAffineRegressor:
+    """w_s = bar_norm dir_s, b_s = const_term - <w_s, mu_s>: the oracle and the plug-in."""
+    w = bar_norm * directions
+    return GroupAffineRegressor(w=w, b=const_term - np.einsum("ij,ij->i", w, means))
+
+
 def build_fdp(params: ModelParams) -> FairOracle:
     """Construct the population fair regressor in closed form."""
     norms = _check_nondegenerate(params)
     bar_norm = float(params.p @ norms)
     const_term = float(params.p @ np.einsum("ij,ij->i", params.beta, params.mu))
-    directions = params.beta / norms[:, None]
-    w = bar_norm * directions
-    b = const_term - np.einsum("ij,ij->i", w, params.mu)
-    return FairOracle(
-        params=params,
-        fdp=GroupAffineRegressor(w=w, b=b),
-        bar_norm=bar_norm,
-        const_term=const_term,
-    )
+    fdp = _assemble(bar_norm, params.beta / norms[:, None], params.mu, const_term)
+    return FairOracle(params=params, fdp=fdp, bar_norm=bar_norm, const_term=const_term)
 
 
 def _std_normal_cdf(x: float) -> float:

@@ -1,10 +1,13 @@
 """Tests for sample splitting, OLS, and the assembled plugin estimator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _support import make_params
 from fairlinreg import (
+    Dataset,
     SingularMatrixError,
     build_fdp,
     evaluate,
@@ -23,9 +26,15 @@ class TestMakeSplit:
         return sample_dataset(params, n_s, seed=0)
 
     @staticmethod
-    def _block_sizes(plan, s):
-        blocks = (plan.d1, plan.d2, plan.d3, plan.dp1, plan.dp2)
-        return tuple(len(block[s]) for block in blocks)
+    def _blocks(plan, s):
+        return np.array_split(plan.three[s], 3) + np.array_split(plan.two[s], 2)
+
+    def _block_sizes(self, plan, s):
+        return tuple(len(block) for block in self._blocks(plan, s))
+
+    def test_two_permutations(self):
+        plan = make_split(self._single_group_data(9), seed=1)
+        assert [f.name for f in dataclasses.fields(plan)] == ["three", "two"]
 
     def test_nine_rows(self):
         plan = make_split(self._single_group_data(9), seed=1)
@@ -45,17 +54,15 @@ class TestMakeSplit:
         plan = make_split(data, seed=3)
         for s in range(3):
             idx = set(data.group_indices(s))
-            three = [set(plan.d1[s]), set(plan.d2[s]), set(plan.d3[s])]
-            assert set().union(*three) == idx
-            assert sum(len(b) for b in three) == len(idx)
-            two = [set(plan.dp1[s]), set(plan.dp2[s])]
-            assert set().union(*two) == idx
-            assert sum(len(b) for b in two) == len(idx)
+            blocks = self._blocks(plan, s)
+            for cut in (blocks[:3], blocks[3:]):
+                assert set().union(*map(set, cut)) == idx
+                assert sum(len(b) for b in cut) == len(idx)
 
     def test_seed_determinism(self):
         data = self._single_group_data(100)
         a, b = make_split(data, seed=5), make_split(data, seed=5)
-        assert all(np.array_equal(x, y) for x, y in zip(a.d1 + a.dp1, b.d1 + b.dp1))
+        assert all(np.array_equal(x, y) for x, y in zip(a.three + a.two, b.three + b.two))
 
 
 class TestOls:
@@ -151,3 +158,55 @@ class TestFit:
                 est.norm_hat_bar * float(est.dir_hat[s] @ (x - est.mu_hat[s])) + const
             )
             assert evaluate(regressor, x, s) == pytest.approx(component_form, abs=1e-12)
+
+    @staticmethod
+    def _paper_estimates(data, plan, d, M):
+        """Every estimate rebuilt from explicit index gathers of the paper's blocks."""
+        counts = np.bincount(data.s, minlength=M)
+        p_hat = counts / data.n
+        norm_hat_s = np.zeros(M)
+        dir_hat, mu_hat, beta_prime_hat, mu_prime_hat = np.zeros((4, M, d))
+        for s in range(M):
+            i1, i2, i3 = np.array_split(plan.three[s], 3)
+            j1, j2 = np.array_split(plan.two[s], 2)
+            if counts[s] > 18 * d:
+                norm_hat_s[s] = np.linalg.norm(ols(data.x[i1], data.y[i1]))
+                b2 = ols(data.x[i2], data.y[i2])
+                dir_hat[s] = b2 / np.linalg.norm(b2)
+            if len(i3):
+                mu_hat[s] = data.x[i3].mean(axis=0)
+            if counts[s] > 12 * d:
+                beta_prime_hat[s] = ols(data.x[j1], data.y[j1])
+                mu_prime_hat[s] = data.x[j2].mean(axis=0)
+        return {
+            "p_hat": p_hat,
+            "norm_hat_s": norm_hat_s,
+            "norm_hat_bar": float(p_hat @ norm_hat_s),
+            "dir_hat": dir_hat,
+            "mu_hat": mu_hat,
+            "beta_prime_hat": beta_prime_hat,
+            "mu_prime_hat": mu_prime_hat,
+            "gate_18d": counts > 18 * d,
+            "gate_12d": counts > 12 * d,
+        }
+
+    @pytest.mark.parametrize(
+        "sizes",
+        # d = 2: 18d = 36 and 12d = 24, so 61 passes both gates, 29 only the
+        # 12d gate and 7 neither; no size divides by 2 or 3
+        [(61, 29, 7), (55,)],
+        ids=["gates_mixed", "M1"],
+    )
+    def test_estimates_use_the_paper_blocks(self, sizes):
+        d, M = 2, len(sizes)
+        rng = np.random.default_rng(18)
+        s = rng.permutation(np.repeat(np.arange(M), sizes))
+        x = rng.standard_normal((len(s), d)) + s[:, None]
+        beta = rng.standard_normal((M, d))
+        y = np.einsum("ij,ij->i", x, beta[s]) + rng.standard_normal(len(s))
+        data = Dataset(x=x, s=s, y=y, M=M)
+        _, estimates = fit(data, d, M, seed=19)
+        expect = self._paper_estimates(data, make_split(data, seed=19), d, M)
+        assert [f.name for f in dataclasses.fields(estimates)] == list(expect)
+        for name, value in expect.items():
+            assert np.array_equal(getattr(estimates, name), value), name

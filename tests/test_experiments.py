@@ -31,6 +31,7 @@ from fairlinreg import (
     sample_dataset,
     validate_params,
 )
+from fairlinreg import cli
 from fairlinreg.cli import main
 from fairlinreg.model import GroupAffineRegressor
 
@@ -107,6 +108,12 @@ class TestRunSweep:
         one = run_sweep(SweepConfig(**cfg, out=str(tmp_path / "t1.csv")), threads=1)
         many = run_sweep(SweepConfig(**cfg, out=str(tmp_path / "t8.csv")), threads=8)
         assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t8.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_nonpositive_threads_rejected(self, threads):
+        config = SweepConfig(n_grid=(300,), d_grid=(2,), M_grid=(2,), trials=1, seed=5)
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            run_sweep(config, threads=threads)
 
     def test_schema_tag_and_columns(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -363,7 +370,9 @@ class TestCli:
         bad_files = [nan_params, typo_params, huge_d]
         for k, field in enumerate(
             [{"d": 3.7}, {"M": 2.0}, {"M": True}, {"B": "1.5"}, {"sigma_x": "1"},
-             {"extra": 1}]
+             {"extra": 1}, {"beta": None}, {"beta": [[1, None, 0], [0, 1, 0]]},
+             {"beta": [[1, 0, 0], [0, 1]]},
+             {"beta": [[True, False, True], [False, True, False]]}]
         ):
             path = tmp_path / f"bad{k}.json"
             path.write_text(json.dumps({**obj, **field}))
@@ -373,6 +382,7 @@ class TestCli:
                 ["generate", "--params", str(bad), "--n", "10",
                  "--out", str(tmp_path / "d.csv")]
             ) == 2
+        assert not (tmp_path / "d.csv").exists()
         reg = tmp_path / "reg.json"
         for text in (
             '{"w": [[1.0]], "b": [0.0]}', "[1, 2]", '{"w": "abc"}',
@@ -418,6 +428,18 @@ class TestCli:
         )
         argv = [arg.format(params=params_file, data=data, config=config) for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+
+    def test_allocation_failure_exit_code(self, tmp_path, params_file, monkeypatch, capsys):
+        def too_large(params, n, seed):
+            raise MemoryError(f"Unable to allocate an array with {n} rows")
+
+        monkeypatch.setattr(cli, "sample_dataset", too_large)
+        assert main(
+            ["generate", "--params", str(params_file), "--n", "1000000000000000",
+             "--out", str(tmp_path / "d.csv")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_lower_bound_single_trial_exit_code(self, tmp_path):
         assert main(

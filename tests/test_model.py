@@ -146,6 +146,19 @@ class TestConstructorChecks:
         with pytest.raises(ParameterError, match="^x must be finite"):
             Dataset(x=[[1.0, np.inf]], s=[0], y=[0.0], M=1)
 
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            "abc", None, [[1.0, None], [0.0, 1.0]], [[1.0, 0.0], [0.0]],
+            [[True, False], [False, True]],
+        ],
+        ids=["string", "null", "null_cell", "ragged", "bool"],
+    )
+    def test_non_numeric_array_rejected_by_name(self, beta):
+        params = make_params([[1.0, 0.0], [0.0, 1.0]], B=1.0)
+        with pytest.raises(ParameterError, match="^beta must be a rectangular array of numbers"):
+            dataclasses.replace(params, beta=beta)
+
 
 class TestSerialization:
     @pytest.mark.parametrize(
