@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, ParameterError
 from .estimator import ComponentEstimates, fit
 from .lower_bound import (
+    _packing_B_s,
     build_family,
     fano_value,
     gv_code,
@@ -336,15 +337,17 @@ def run_lower_bound_report(
     the smallest pairwise two-point risk separation; next to it, the mean
     analytic excess risk of the plugin estimator fit on data drawn from one
     member of the same family.  trials >= 2, so each mean has a standard error.
+    d, M, B_s, n_grid and trials are checked before any work (ParameterError).
     """
     if trials < 2:
         raise ParameterError(f"need trials >= 2 for a standard error, got {trials}")
-    p = np.full(M, 1.0 / M)
+    _packing_B_s(d, M, B_s)
     n_grid = [int(n) for n in n_grid]
+    if any(n < 1 for n in n_grid):
+        raise ParameterError(f"every n must be >= 1, got n_grid={n_grid}")
+    p = np.full(M, 1.0 / M)
     min_dist = max((d - 1) // 8, 1)
     code = gv_code(d - 1, M, min_dist, code_budget, seed)
-    if code.size < 2:
-        raise ParameterError("code search produced fewer than 2 codewords")
     C = code.codewords
     rows = []
     for n_idx, n in enumerate(n_grid):

@@ -304,6 +304,16 @@ def fano_value(epsilon: float, K: int, avg_kl: float) -> float:
     return max(epsilon * (1.0 - (avg_kl + math.log(2.0)) / math.log(K)), 0.0)
 
 
+def _packing_B_s(d: int, M: int, B_s) -> np.ndarray:
+    """B_s as an (M,) array, after checking the packing's geometry and B_s > 0 finite."""
+    if not (d >= 2 and M >= 1 and M * (d - 1) > 16):
+        raise ParameterError(f"need d >= 2, M >= 1 and M(d-1) > 16, got d={d}, M={M}")
+    B_s = np.broadcast_to(np.asarray(B_s, dtype=float), (M,))
+    if not np.all(np.isfinite(B_s) & (B_s > 0.0)):
+        raise ParameterError(f"B_s must be positive and finite, got {B_s}")
+    return B_s
+
+
 def hard_instance_eps(
     d: int, M: int, sigma_xi: float, sigma_x: float, B_s, n_counts
 ) -> np.ndarray:
@@ -312,17 +322,16 @@ def hard_instance_eps(
     eps_s^2 = ((d-1)/16 - 1/M) * sigma_xi^2 / (2 sigma_x^2 B_s^2 n_s),
     clamped to (0, 1] with a warning when small n pushes it above 1.
     """
-    if M * (d - 1) <= 16:
-        raise ParameterError(f"need M(d-1) > 16, got M={M}, d={d}")
-    B_s = np.broadcast_to(np.asarray(B_s, dtype=float), (M,))
+    B_s = _packing_B_s(d, M, B_s)
     n_counts = np.broadcast_to(np.asarray(n_counts, dtype=float), (M,))
-    eps_sq = (
-        ((d - 1) / 16.0 - 1.0 / M)
-        * sigma_xi ** 2
-        / (2.0 * sigma_x ** 2 * B_s ** 2 * n_counts)
-    )
+    with np.errstate(over="ignore"):  # an overflowed denominator gives 0, rejected below
+        eps_sq = (
+            ((d - 1) / 16.0 - 1.0 / M)
+            * sigma_xi ** 2
+            / (2.0 * sigma_x ** 2 * B_s ** 2 * n_counts)
+        )
     if np.any(eps_sq <= 0.0):
-        raise ParameterError("packing radius is nonpositive; check the geometry")
+        raise ParameterError("packing radius is 0: sigma_xi = 0 or sigma_x B_s n overflows")
     eps = np.sqrt(eps_sq)
     if np.any(eps > 1.0):
         warnings.warn(

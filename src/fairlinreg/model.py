@@ -34,9 +34,9 @@ def _is_finite_real(value) -> bool:
 
 
 def _frozen_array(a, name: str, dtype=float) -> np.ndarray:
-    """``a`` as a read-only contiguous array: rectangular ints or finite floats only."""
+    """A read-only contiguous copy of ``a``: rectangular ints or finite floats only."""
     try:
-        raw = np.asarray(a)
+        raw = np.array(a)
     except ValueError:  # ragged nesting
         raw = None
     if raw is None or raw.dtype.kind not in "iuf":

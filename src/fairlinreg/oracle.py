@@ -104,7 +104,10 @@ def gaussian_l2_distance(
 ) -> float:
     """Exact E[(f(X,S) - g(X,S))^2] under the model, for two group-affine maps."""
     if f.w.shape != g.w.shape or f.d != params.d or f.M != params.M:
-        raise DimensionError("regressor shapes do not match the model")
+        raise DimensionError(
+            f"regressor w shapes {f.w.shape} and {g.w.shape} do not match the "
+            f"model's (M, d) = ({params.M}, {params.d})"
+        )
     dw = f.w - g.w
     db = f.b - g.b
     mean_shift = np.einsum("ij,ij->i", dw, params.mu) + db

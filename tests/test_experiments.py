@@ -15,7 +15,11 @@ from hypothesis import strategies as st
 from _support import make_params
 from fairlinreg import (
     ConfigError,
+    DegenerateDirectionError,
+    DimensionError,
+    FairRegressionError,
     ParameterError,
+    SingularMatrixError,
     SweepConfig,
     analytic_excess_risk,
     build_family,
@@ -190,9 +194,14 @@ class TestLowerBoundReport:
         assert np.all(fano > 0.0)
         assert out.read_text().startswith("# schema=fairlinreg-lower-bound-1")
 
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
     def test_precondition(self):
-        with pytest.raises(ParameterError):
-            run_lower_bound_report(3, 2, [1000], 1.0, 1.0, 1.0, seed=0)
+        for d, M, B_s, n in [
+            (3, 2, 1.0, 1000), (9, 0, 1.0, 1000), (9, -1, 1.0, 1000), (1, 4, 1.0, 1000),
+            (9, 4, 0.0, 1000), (9, 4, np.nan, 1000), (9, 4, np.inf, 1000), (9, 4, 1.0, 0),
+        ]:
+            with pytest.raises(ParameterError):
+                run_lower_bound_report(d, M, [n], B_s, 1.0, 1.0, seed=0)
 
     def test_pair_reduction_matches_per_pair_loop(self):
         # reference: the explicit loop over every codeword pair
@@ -408,14 +417,27 @@ class TestCli:
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1000", "--B", "-1"],
             ["sweep", "--config", "{config}", "--threads", "0"],
             ["sweep", "--config", "{config}", "--threads", "-3"],
+            ["lower-bound", "--d", "9", "--M", "0", "--n-grid", "100"],
+            ["lower-bound", "--d", "9", "--M", "-1", "--n-grid", "100"],
+            ["lower-bound", "--d", "1", "--M", "4", "--n-grid", "100"],
+            ["lower-bound", "--d", "0", "--M", "-20", "--n-grid", "100"],
+            ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "100", "--B", "0"],
+            ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "100", "--B", "nan"],
+            ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "100", "--B", "inf"],
+            ["fit", "--data", "{data}", "--d", "4", "--M", "2"],
+            ["evaluate", "--regressor", "{regressor}", "--params", "{params}"],
         ],
         ids=[
             "generate_seed", "fit_seed", "diagnose_seed", "lower_bound_seed",
             "generate_n0", "n_grid_0", "lower_bound_small_dM", "lower_bound_B",
             "threads_0", "threads_negative",
+            "lower_bound_M0", "lower_bound_M_negative", "lower_bound_d1",
+            "lower_bound_d0_M_negative", "lower_bound_B0", "lower_bound_B_nan",
+            "lower_bound_B_inf", "fit_d_mismatch", "evaluate_regressor_shape",
         ],
     )
-    def test_flag_fault_exit_code(self, tmp_path, params_file, argv):
+    @pytest.mark.filterwarnings("error")  # no warning may precede the error line
+    def test_flag_fault_exit_code(self, tmp_path, params_file, capsys, argv):
         data = tmp_path / "data.csv"
         assert main(
             ["generate", "--params", str(params_file), "--n", "200", "--out", str(data)]
@@ -426,8 +448,33 @@ class TestCli:
                 {"n_grid": [300], "d_grid": [2], "M_grid": [2], "trials": 1, "seed": 4}
             )
         )
-        argv = [arg.format(params=params_file, data=data, config=config) for arg in argv]
+        regressor = tmp_path / "reg.json"  # (M, d) = (1, 2); the params need (2, 3)
+        regressor.write_text('{"w": [[1.0, 0.0]], "b": [0.0]}')
+        argv = [
+            arg.format(params=params_file, data=data, config=config, regressor=regressor)
+            for arg in argv
+        ]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (ConfigError, 2), (ParameterError, 2), (DimensionError, 2),
+            (SingularMatrixError, 3), (DegenerateDirectionError, 3),
+            (FairRegressionError, 3), (FloatingPointError, 3),
+        ],
+    )
+    def test_exit_code_follows_error_class(self, tmp_path, monkeypatch, capsys, exc, code):
+        def raise_it(seed):
+            raise exc("injected")
+
+        monkeypatch.setattr(cli, "_diagnose_rows", raise_it)
+        assert main(["diagnose", "--out", str(tmp_path / "diag.csv")]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "injected" in err
 
     def test_allocation_failure_exit_code(self, tmp_path, params_file, monkeypatch, capsys):
         def too_large(params, n, seed):

@@ -265,9 +265,17 @@ class TestHardInstanceEps:
         e2 = hard_instance_eps(9, 4, 1.0, 1.0, 1.0, [200, 200, 200, 200])
         assert np.allclose(e1 ** 2, 2 * e2 ** 2)
 
+    @pytest.mark.filterwarnings("error")
     def test_hypothesis_boundary_excluded(self):
+        for d, M in [(17, 1), (9, 0), (9, -1), (1, 4), (0, -20)]:
+            with pytest.raises(ParameterError):
+                hard_instance_eps(d, M, 1.0, 1.0, 1.0, [100])
+
+    @pytest.mark.parametrize("B_s", [0.0, -1.0, np.nan, np.inf, 1e308])
+    @pytest.mark.filterwarnings("error")  # rejected before a numpy warning
+    def test_bad_B_s_rejected(self, B_s):
         with pytest.raises(ParameterError):
-            hard_instance_eps(17, 1, 1.0, 1.0, 1.0, [100])
+            hard_instance_eps(9, 4, 1.0, 1.0, B_s, [100] * 4)
 
     def test_hand_evaluation(self):
         eps = hard_instance_eps(9, 4, 1.0, 1.0, 1.0, [100] * 4)

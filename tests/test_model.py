@@ -14,6 +14,7 @@ from fairlinreg import (
     DimensionError,
     GroupAffineRegressor,
     ModelParams,
+    PackedFamily,
     ParameterError,
     SweepConfig,
     evaluate,
@@ -137,6 +138,33 @@ class TestConstructorChecks:
         assert '"sigma_x": 1.0' in params.to_json()
         for name in ("sigma_x", "sigma_xi", "B", "U"):
             assert type(getattr(params, name)) is float
+
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+    def test_constructor_keeps_its_own_copy(self, view):
+        # the caller's array stays writable, and no write to it or to the base
+        # of a view passed in reaches the instance
+        def passed(a):
+            base = np.stack([a, a])
+            return base, (base[0] if view else base[0].copy())
+
+        params = make_params([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], B=1.0)
+        cases = [
+            (GroupAffineRegressor, {"w": np.zeros((2, 3)), "b": np.zeros(2)}, {}),
+            (Dataset, {"x": np.zeros((4, 2)), "s": np.zeros(4, dtype=np.int64),
+                       "y": np.zeros(4)}, {"M": 1}),
+            (ModelParams, {"beta": params.beta, "mu": params.mu, "p": params.p},
+             {k: v for k, v in to_dict(params).items() if k not in ("beta", "mu", "p")}),
+            (PackedFamily, {"B_s": np.ones(2), "eps_s": np.full(2, 0.5)}, {"d": 3, "M": 2}),
+        ]
+        for cls, arrays, rest in cases:
+            args = {name: passed(a) for name, a in arrays.items()}
+            obj = cls(**{name: arg for name, (_, arg) in args.items()}, **rest)
+            for name, (base, arg) in args.items():
+                kept = getattr(obj, name).copy()
+                assert arg.flags.writeable, (cls.__name__, name)
+                arg += 1
+                base += 1
+                assert np.array_equal(getattr(obj, name), kept), (cls.__name__, name)
 
     def test_regressor_nan_rejected(self):
         with pytest.raises(ParameterError, match="^w must be finite"):
