@@ -41,7 +41,7 @@ from .model import (
 )
 from .oracle import analytic_excess_risk, build_fdp
 
-SWEEP_SCHEMA = "fairlinreg-sweep-1"
+SWEEP_SCHEMA = "fairlinreg-sweep-2"
 LOWER_BOUND_SCHEMA = "fairlinreg-lower-bound-1"
 
 SWEEP_COLUMNS = [
@@ -113,7 +113,7 @@ def random_valid_params(
     p = np.full(M, 1.0 / M)
     for _ in range(10_000):
         norms = np.exp(rng.uniform(math.log(B / 4.0), math.log(B), size=M))
-        if norm_diversity_factor(p, norms) <= B ** 2:
+        if norm_diversity_factor(p, norms) <= B * B:  # B ** 2 on a float can overflow
             break
     else:
         raise ConfigError("could not sample norms satisfying the diversity bound")
@@ -336,16 +336,20 @@ def run_lower_bound_report(
     per-block code, the worst pairwise KL, and the Fano value built from
     the smallest pairwise two-point risk separation; next to it, the mean
     analytic excess risk of the plugin estimator fit on data drawn from one
-    member of the same family.  trials >= 2, so each mean has a standard error.
+    member of the same family.  trials >= 2, so each mean has a standard error,
+    and round(n / M) >= 1 for every n, so no group's KL count is 0.
     d, M, B_s, n_grid and trials are checked before any work (ParameterError).
     """
     if trials < 2:
         raise ParameterError(f"need trials >= 2 for a standard error, got {trials}")
     _packing_B_s(d, M, B_s)
     n_grid = [int(n) for n in n_grid]
-    if any(n < 1 for n in n_grid):
-        raise ParameterError(f"every n must be >= 1, got n_grid={n_grid}")
     p = np.full(M, 1.0 / M)
+    if any(np.round(n * p[0]) < 1 for n in n_grid):
+        raise ParameterError(
+            f"every n must give each of the M={M} groups at least one row "
+            f"(round(n / M) >= 1), got n_grid={n_grid}"
+        )
     min_dist = max((d - 1) // 8, 1)
     code = gv_code(d - 1, M, min_dist, code_budget, seed)
     C = code.codewords

@@ -177,9 +177,10 @@ def validate_params(params: ModelParams) -> list[str]:
         )
     if np.all(norms > 0.0):
         factor = params.diversity_factor()
-        if factor > params.B ** 2 + CONSTRAINT_TOL:
+        # B * B overflows to inf where B ** 2 on a float raises OverflowError
+        if factor > params.B * params.B + CONSTRAINT_TOL:
             report.append(
-                f"norm-diversity violated: factor = {factor!r} > B^2 = {params.B ** 2!r}"
+                f"norm-diversity violated: factor = {factor!r} > B^2 = {params.B * params.B!r}"
             )
     mu_norms = np.linalg.norm(params.mu, axis=1)
     max_mu = float(mu_norms.max())
@@ -270,21 +271,31 @@ class Dataset:
 def sample_dataset(
     params: ModelParams, n: int, seed: int | np.random.SeedSequence
 ) -> Dataset:
-    """Draw n i.i.d. observations from the model; deterministic given seed."""
+    """Draw n i.i.d. observations from the model; deterministic given seed.
+
+    Rows come sorted by group.  The generator draws the group counts (one
+    multinomial), then the (n, d) standard normal features, then the n noise
+    terms (skipped when sigma_xi == 0).  Rows are exchangeable, so the order
+    changes no statistic.  A draw that overflows is rejected as non-finite
+    by the ``Dataset`` constructor.
+    """
     report = validate_params(params)
     if report:
         raise ParameterError("invalid model parameters: " + "; ".join(report))
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
     rng = np.random.default_rng(seed)
-    # Inverse-CDF categorical draw on the cumulative weights.
-    cum = np.cumsum(params.p)
-    cum[-1] = 1.0
-    s = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
-    x = params.mu[s] + params.sigma_x * rng.standard_normal((n, params.d))
-    y = np.einsum("ij,ij->i", params.beta[s], x)
-    if params.sigma_xi > 0.0:
-        y = y + params.sigma_xi * rng.standard_normal(n)
+    counts = rng.multinomial(n, params.p)
+    s = np.repeat(np.arange(params.M, dtype=np.int64), counts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = rng.standard_normal((n, params.d))
+        x *= params.sigma_x
+        y = params.sigma_xi * rng.standard_normal(n) if params.sigma_xi > 0.0 else np.zeros(n)
+        stops = np.cumsum(counts)
+        for g, (start, stop) in enumerate(zip(stops - counts, stops)):
+            block = x[start:stop]
+            block += params.mu[g]
+            y[start:stop] += block @ params.beta[g]
     return Dataset(x=x, s=s, y=y, M=params.M)
 
 

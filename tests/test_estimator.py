@@ -17,6 +17,7 @@ from fairlinreg import (
     random_valid_params,
     sample_dataset,
 )
+from fairlinreg.estimator import MAX_GRAM_CONDITION
 
 
 class TestMakeSplit:
@@ -94,6 +95,29 @@ class TestOls:
         with pytest.raises(SingularMatrixError):
             ols(np.ones((2, 3)), np.ones(2))
 
+    @pytest.mark.parametrize("factor, singular", [(1.01, True), (0.99, False)])
+    def test_condition_gate(self, factor, singular):
+        # Gram = diag(1, 1 / c) has condition number c
+        c = factor * MAX_GRAM_CONDITION
+        x = np.diag([1.0, 1.0 / np.sqrt(c)])
+        if singular:
+            with pytest.raises(SingularMatrixError, match="condition estimate"):
+                ols(x, np.ones(2))
+        else:
+            assert np.all(np.isfinite(ols(x, np.ones(2))))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_lstsq_when_ill_conditioned(self, seed):
+        # Gram condition 1e8: the normal equations lose about eps * 1e8 ~ 2e-8
+        rng = np.random.default_rng(seed)
+        m, d = 200, 4
+        u, _ = np.linalg.qr(rng.standard_normal((m, d)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        x = (u * np.geomspace(1.0, 1e-4, d)) @ v.T
+        y = x @ rng.standard_normal(d) + 0.1 * rng.standard_normal(m)
+        ref = np.linalg.lstsq(x, y, rcond=None)[0]
+        assert np.linalg.norm(ols(x, y) - ref) <= 1e-6 * np.linalg.norm(ref)
+
     def test_singular_gram_raises(self):
         x = np.ones((10, 2))  # rank 1
         with pytest.raises(SingularMatrixError):
@@ -107,7 +131,9 @@ class TestFit:
         oracle = build_fdp(params)
         data = sample_dataset(params, 100_000, seed=5)
         regressor, estimates = fit(data, 3, 2, seed=6)
-        assert np.max(np.abs(regressor.w - oracle.fdp.w)) < 1e-3
+        # without noise every OLS block is exact, so w is the oracle's at p = p_hat
+        at_p_hat = build_fdp(dataclasses.replace(params, p=estimates.p_hat))
+        assert np.max(np.abs(regressor.w - at_p_hat.fdp.w)) < 1e-9
         # group-frequency noise enters through p_hat at the n^{-1/2} scale
         assert estimates.norm_hat_bar == pytest.approx(oracle.bar_norm, abs=5e-3)
 
@@ -130,6 +156,20 @@ class TestFit:
         assert np.array_equal(r1.w, r2.w) and np.array_equal(r1.b, r2.b)
         assert np.array_equal(e1.mu_hat, e2.mu_hat)
         assert np.array_equal(e1.dir_hat, e2.dir_hat)
+
+    def test_row_order_free(self):
+        # sample_dataset sorts rows by group; a CSV may hold them in any order
+        rng = np.random.default_rng(20)
+        params = random_valid_params(3, 3, 2.0, 1.0, 1.0, 1.0, rng)
+        data = sample_dataset(params, 3000, seed=21)
+        order = rng.permutation(data.n)
+        shuffled = Dataset(x=data.x[order], s=data.s[order], y=data.y[order], M=3)
+        _, sorted_est = fit(data, 3, 3, seed=22)
+        regressor, est = fit(shuffled, 3, 3, seed=22)
+        assert np.array_equal(est.p_hat, sorted_est.p_hat)
+        assert np.array_equal(est.gate_18d, sorted_est.gate_18d)
+        assert np.array_equal(est.gate_12d, sorted_est.gate_12d)
+        assert np.all(np.isfinite(regressor.w)) and np.all(np.isfinite(regressor.b))
 
     def test_unit_directions_when_gated_on(self):
         rng = np.random.default_rng(12)

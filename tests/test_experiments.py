@@ -127,7 +127,7 @@ class TestRunSweep:
             )
         )
         lines = out.read_text().splitlines()
-        assert lines[0] == "# schema=fairlinreg-sweep-1"
+        assert lines[0] == "# schema=fairlinreg-sweep-2"
         assert lines[1].startswith("n,d,M,B,trial,excess_risk,")
 
     def test_nonnegative_outputs(self):
@@ -413,6 +413,7 @@ class TestCli:
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1000", "--seed", "-1"],
             ["generate", "--params", "{params}", "--n", "0"],
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "0"],
+            ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1", "--trials", "2"],
             ["lower-bound", "--d", "2", "--M", "4", "--n-grid", "1000"],
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1000", "--B", "-1"],
             ["sweep", "--config", "{config}", "--threads", "0"],
@@ -429,7 +430,8 @@ class TestCli:
         ],
         ids=[
             "generate_seed", "fit_seed", "diagnose_seed", "lower_bound_seed",
-            "generate_n0", "n_grid_0", "lower_bound_small_dM", "lower_bound_B",
+            "generate_n0", "n_grid_0", "n_grid_zero_group_count",
+            "lower_bound_small_dM", "lower_bound_B",
             "threads_0", "threads_negative",
             "lower_bound_M0", "lower_bound_M_negative", "lower_bound_d1",
             "lower_bound_d0_M_negative", "lower_bound_B0", "lower_bound_B_nan",
@@ -458,6 +460,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning may precede it
+    def test_overflowing_draw_is_one_error_line(self, tmp_path, params_file, capsys):
+        params = tmp_path / "huge_sigma_x.json"
+        params.write_text(json.dumps({**json.loads(params_file.read_text()), "sigma_x": 1e308}))
+        assert main(
+            ["generate", "--params", str(params), "--n", "100", "--out", str(tmp_path / "d.csv")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_B_does_not_overflow(self, tmp_path, params_file, capsys):
+        # B ** 2 on a float above ~1.3e154 raised OverflowError, a traceback
+        params = tmp_path / "huge_B.json"
+        params.write_text(json.dumps({**json.loads(params_file.read_text()), "B": 1e308}))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"n_grid": [300], "d_grid": [2], "M_grid": [2], "trials": 1, "seed": 4, "B": 1e308}
+        ))
+        for argv in (
+            ["generate", "--params", str(params), "--n", "100"],
+            ["sweep", "--config", str(config)],
+        ):
+            assert main(argv + ["--out", str(tmp_path / "out")]) in (0, 2)
+            assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "exc, code",

@@ -89,6 +89,13 @@ class TestSampleDataset:
         data = sample_dataset(params, 1_000_000, seed=1)
         assert abs(data.group_counts[0] / data.n - 0.3) < 0.002
 
+    def test_rows_sorted_by_group_from_one_multinomial(self):
+        params = make_params([[1.0], [1.0], [1.0]], p=[0.5, 0.2, 0.3])
+        data = sample_dataset(params, 1000, seed=5)
+        assert np.all(np.diff(data.s) >= 0)
+        expect = np.random.default_rng(5).multinomial(1000, params.p)
+        assert np.array_equal(data.group_counts, expect)
+
     def test_seed_determinism(self):
         params = make_params([[1.0, 2.0], [0.5, 1.0]], B=3.0)
         a = sample_dataset(params, 500, seed=42)
