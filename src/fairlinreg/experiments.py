@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +43,6 @@ from .oracle import analytic_excess_risk, build_fdp
 
 SWEEP_SCHEMA = "fairlinreg-sweep-2"
 LOWER_BOUND_SCHEMA = "fairlinreg-lower-bound-1"
-
-SWEEP_COLUMNS = [
-    "n", "d", "M", "B", "trial",
-    "excess_risk", "w2_unfairness", "kol_unfairness",
-    "e_mean", "e_norm", "e_coef", "e_coef_prime", "e_mean_prime", "e_prob",
-    "d2_margin", "undersampled",
-]
 
 
 @dataclass(frozen=True)
@@ -108,8 +101,15 @@ def random_valid_params(
 
     Directions are uniform on the sphere, norms log-uniform in [B/4, B]
     with rejection against the norm-diversity bound, and means uniform in
-    the U-ball.  Group probabilities are balanced.
+    the U-ball.  Group probabilities are balanced, so B < 1, or B = 1 with
+    M >= 2, admits no norms and is a ConfigError before any draw.
     """
+    if B < 1.0 or (B == 1.0 and M >= 2):
+        raise ConfigError(
+            f"B={B!r} leaves no valid norms for M={M}: the norm-diversity factor "
+            "of balanced groups must be <= B^2 but is at least 1, and equals 1 "
+            "only when all norms are equal, which log-uniform draws never are"
+        )
     p = np.full(M, 1.0 / M)
     for _ in range(10_000):
         norms = np.exp(rng.uniform(math.log(B / 4.0), math.log(B), size=M))
@@ -198,7 +198,8 @@ def undersampled(n: int, d: int, M: int, p_min: float, delta: float) -> bool:
     return n < 12.0 * max(3 * d, 4.0 * math.log(M / delta)) / p_min
 
 
-def _run_trial(config: SweepConfig, cell_idx: int, cell, trial: int) -> list:
+def _run_trial(config: SweepConfig, cell_idx: int, cell, trial: int) -> dict:
+    """One sweep row; its keys, in order, are the sweep CSV's columns."""
     n, d, M = cell
     params_rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 0))
@@ -212,40 +213,52 @@ def _run_trial(config: SweepConfig, cell_idx: int, cell, trial: int) -> list:
     regressor, estimates = fit(
         data, d, M, np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 2))
     )
-    oracle = build_fdp(params)
-    risk = analytic_excess_risk(regressor, oracle)
+    risk = analytic_excess_risk(regressor, build_fdp(params))
     report = unfairness(regressor, params)
-    errors = component_errors(params, estimates)
-    margin = parity_gap_margin(report, estimates, params)
     flag = undersampled(n, d, M, float(params.p.min()), config.delta)
-    return [
-        n, d, M, config.B, trial,
-        risk, report.w2_max, report.kol_max,
-        errors["e_mean"], errors["e_norm"], errors["e_coef"],
-        errors["e_coef_prime"], errors["e_mean_prime"], errors["e_prob"],
-        margin, int(flag),
-    ]
+    return {
+        "n": n, "d": d, "M": M, "B": config.B, "trial": trial,
+        "excess_risk": risk,
+        "w2_unfairness": report.w2_max,
+        "kol_unfairness": report.kol_max,
+        **component_errors(params, estimates),
+        "d2_margin": parity_gap_margin(report, estimates, params),
+        "undersampled": int(flag),
+    }
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """All sweep rows, in deterministic (cell, trial) order."""
+    """A results table: ``data`` maps each column, in CSV order, to one array.
 
-    columns: list[str] = field(default_factory=lambda: list(SWEEP_COLUMNS))
-    rows: list[list] = field(default_factory=list)
+    Int columns stay ints, so ``rows`` and the CSV print them as written.
+    """
+
+    data: dict[str, np.ndarray]
+
+    @classmethod
+    def from_records(cls, records: list[dict]) -> "SweepResult":
+        """The table of one dict per row, all with the same keys in the same order."""
+        return cls({name: np.array([r[name] for r in records]) for name in records[0]})
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.data)
+
+    @property
+    def rows(self) -> list[list]:
+        return [list(row) for row in zip(*(a.tolist() for a in self.data.values()))]
 
     def column(self, name: str) -> np.ndarray:
-        j = self.columns.index(name)
-        return np.array([row[j] for row in self.rows], dtype=float)
+        """A float copy of one column."""
+        return self.data[name].astype(float)
 
     def select(self, **filters) -> "SweepResult":
-        idx = [self.columns.index(k) for k in filters]
-        kept = [
-            row
-            for row in self.rows
-            if all(row[j] == v for j, v in zip(idx, filters.values()))
-        ]
-        return SweepResult(columns=list(self.columns), rows=kept)
+        """The rows whose every named column equals the given value."""
+        keep = np.ones(len(next(iter(self.data.values()))), dtype=bool)
+        for name, value in filters.items():
+            keep &= self.data[name] == value
+        return SweepResult({name: a[keep] for name, a in self.data.items()})
 
     def to_csv_text(self, schema: str = SWEEP_SCHEMA) -> str:
         buf = io.StringIO()
@@ -263,7 +276,10 @@ class SweepResult:
 
 
 def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
-    """Execute the full sweep grid; deterministic given config and seed."""
+    """Execute the full sweep grid; deterministic given config and seed.
+
+    ``pool.map`` returns trials in job order, whatever the thread count.
+    """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     cells = [
@@ -277,19 +293,9 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
         for cell_idx, cell in enumerate(cells)
         for trial in range(config.trials)
     ]
-    rows: list = [None] * len(jobs)
-
-    def work(k: int) -> None:
-        cell_idx, cell, trial = jobs[k]
-        rows[k] = _run_trial(config, cell_idx, cell, trial)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(jobs))))
-    else:
-        for k in range(len(jobs)):
-            work(k)
-    result = SweepResult(rows=rows)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        records = list(pool.map(lambda job: _run_trial(config, *job), jobs))
+    result = SweepResult.from_records(records)
     if config.out is not None:
         result.write_csv(config.out)
     return result
@@ -312,12 +318,6 @@ def fit_slope(rows) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-LOWER_BOUND_COLUMNS = [
-    "d", "M", "n", "epsilon", "K", "kl", "fano_value",
-    "est_risk_mean", "est_risk_se",
-]
-
-
 def run_lower_bound_report(
     d: int,
     M: int,
@@ -337,7 +337,8 @@ def run_lower_bound_report(
     the smallest pairwise two-point risk separation; next to it, the mean
     analytic excess risk of the plugin estimator fit on data drawn from one
     member of the same family.  trials >= 2, so each mean has a standard error,
-    and round(n / M) >= 1 for every n, so no group's KL count is 0.
+    n_grid is nonempty, and round(n / M) >= 1 for every n, so no group's KL
+    count is 0.
     d, M, B_s, n_grid and trials are checked before any work (ParameterError).
     """
     if trials < 2:
@@ -345,15 +346,15 @@ def run_lower_bound_report(
     _packing_B_s(d, M, B_s)
     n_grid = [int(n) for n in n_grid]
     p = np.full(M, 1.0 / M)
-    if any(np.round(n * p[0]) < 1 for n in n_grid):
+    if not n_grid or any(np.round(n * p[0]) < 1 for n in n_grid):
         raise ParameterError(
-            f"every n must give each of the M={M} groups at least one row "
-            f"(round(n / M) >= 1), got n_grid={n_grid}"
+            f"n_grid must be nonempty and every n must give each of the M={M} "
+            f"groups at least one row (round(n / M) >= 1), got n_grid={n_grid}"
         )
     min_dist = max((d - 1) // 8, 1)
     code = gv_code(d - 1, M, min_dist, code_budget, seed)
     C = code.codewords
-    rows = []
+    records = []
     for n_idx, n in enumerate(n_grid):
         n_counts = np.round(n * p)
         eps = hard_instance_eps(d, M, sigma_xi, sigma_x, B_s, n_counts)
@@ -378,14 +379,15 @@ def run_lower_bound_report(
                 data, d, M, np.random.SeedSequence(seed, spawn_key=(n_idx, t, 1))
             )
             risks[t] = analytic_excess_risk(regressor, oracle)
-        rows.append(
-            [
-                d, M, n, epsilon, code.size, kl_max, fano,
-                float(risks.mean()),
-                float(risks.std(ddof=1) / math.sqrt(trials)),
-            ]
+        records.append(
+            {
+                "d": d, "M": M, "n": n, "epsilon": epsilon, "K": code.size,
+                "kl": kl_max, "fano_value": fano,
+                "est_risk_mean": float(risks.mean()),
+                "est_risk_se": float(risks.std(ddof=1) / math.sqrt(trials)),
+            }
         )
-    result = SweepResult(columns=list(LOWER_BOUND_COLUMNS), rows=rows)
+    result = SweepResult.from_records(records)
     if out is not None:
         result.write_csv(out, schema=LOWER_BOUND_SCHEMA)
     return result

@@ -91,21 +91,17 @@ def kolmogorov_gaussian(a: GaussianLaw1D, b: GaussianLaw1D) -> float:
         return _std_normal_cdf(abs(point.mean - gauss.mean) / gauss.std)
     if a.std == b.std:
         return 2.0 * _std_normal_cdf(abs(a.mean - b.mean) / (2.0 * a.std)) - 1.0
-    # Density crossings: quadratic in t from equating log densities.
-    c2 = 1.0 / b.std ** 2 - 1.0 / a.std ** 2
-    c1 = 2.0 * (a.mean / a.std ** 2 - b.mean / b.std ** 2)
-    c0 = (
-        b.mean ** 2 / b.std ** 2
-        - a.mean ** 2 / a.std ** 2
-        + 2.0 * math.log(b.std / a.std)
+    # Density crossings: a scale-free quadratic in z = (t - a.mean) / a.std, under
+    # which a is N(0, 1) and b is N(m, r^2); one in raw t overflows near 1e150.
+    m = (b.mean - a.mean) / a.std
+    r = b.std / a.std
+    inv_r2 = 1.0 / (r * r)
+    roots = np.roots(
+        [inv_r2 - 1.0, -2.0 * m * inv_r2, m * m * inv_r2 + 2.0 * math.log(r)]
     )
-    roots = np.roots([c2, c1, c0])
     roots = roots[np.abs(roots.imag) < 1e-12].real
     cdf = _std_normal_cdf
-    return max(
-        (abs(cdf((r - a.mean) / a.std) - cdf((r - b.mean) / b.std)) for r in roots),
-        default=0.0,
-    )
+    return max((abs(cdf(z) - cdf((z - m) / r)) for z in roots), default=0.0)
 
 
 @dataclass(frozen=True)

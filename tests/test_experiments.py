@@ -98,6 +98,19 @@ class TestRandomValidParams:
             norms = params.beta_norms
             assert np.all(norms >= B / 4 - 1e-12) and np.all(norms <= B + 1e-12)
 
+    @pytest.mark.parametrize("B, M", [(0.5, 3), (0.5, 1), (1.0, 3), (1.0, 2)])
+    def test_unreachable_diversity_bound_rejected_before_drawing(self, B, M):
+        # balanced groups have a diversity factor >= 1, equal to 1 only for equal norms
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="norm-diversity factor"):
+            random_valid_params(3, M, B, 1.0, 1.0, 1.0, rng)
+        assert rng.bit_generator.state == state
+
+    def test_B_one_with_one_group_accepted(self):
+        params = random_valid_params(3, 1, 1.0, 1.0, 1.0, 1.0, np.random.default_rng(0))
+        assert validate_params(params) == []
+
 
 class TestRunSweep:
     def test_deterministic_csv_bytes(self, tmp_path):
@@ -112,6 +125,7 @@ class TestRunSweep:
         one = run_sweep(SweepConfig(**cfg, out=str(tmp_path / "t1.csv")), threads=1)
         many = run_sweep(SweepConfig(**cfg, out=str(tmp_path / "t8.csv")), threads=8)
         assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t8.csv").read_bytes()
+        assert one.rows == many.rows == run_sweep(SweepConfig(**cfg), threads=3).rows
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_nonpositive_threads_rejected(self, threads):
@@ -121,7 +135,7 @@ class TestRunSweep:
 
     def test_schema_tag_and_columns(self, tmp_path):
         out = tmp_path / "s.csv"
-        run_sweep(
+        result = run_sweep(
             SweepConfig(
                 n_grid=(200,), d_grid=(2,), M_grid=(2,), trials=1, seed=7, out=str(out)
             )
@@ -129,6 +143,26 @@ class TestRunSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "# schema=fairlinreg-sweep-2"
         assert lines[1].startswith("n,d,M,B,trial,excess_risk,")
+        assert lines[1].split(",") == result.columns
+
+    def test_table_access(self):
+        result = run_sweep(
+            SweepConfig(n_grid=(200, 400), d_grid=(2,), M_grid=(2,), trials=2, seed=7)
+        )
+        names = result.columns
+        for row in result.rows:
+            for name in ("n", "d", "M", "trial", "undersampled"):
+                assert type(row[names.index(name)]) is int
+        n = result.column("n")
+        n[:] = -1.0  # a float copy: the table keeps its values
+        assert n.dtype == float and list(result.column("n")) == [200, 200, 400, 400]
+        cell = result.select(n=400, trial=1)
+        assert [row[:5] for row in cell.rows] == [[400, 2, 2, 1.5, 1]]
+        empty = result.select(n=300)
+        assert empty.rows == [] and empty.columns == names
+        assert empty.to_csv_text().splitlines() == [
+            "# schema=fairlinreg-sweep-2", ",".join(names)
+        ]
 
     def test_nonnegative_outputs(self):
         result = run_sweep(
@@ -192,7 +226,13 @@ class TestLowerBoundReport:
         se = result.column("est_risk_se")
         assert np.all(fano <= risk + 4 * se)
         assert np.all(fano > 0.0)
-        assert out.read_text().startswith("# schema=fairlinreg-lower-bound-1")
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# schema=fairlinreg-lower-bound-1"
+        assert lines[1].split(",") == result.columns
+        names = result.columns
+        for row in result.rows:
+            for name in ("d", "M", "n", "K"):
+                assert type(row[names.index(name)]) is int
 
     @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
     def test_precondition(self):
@@ -202,6 +242,8 @@ class TestLowerBoundReport:
         ]:
             with pytest.raises(ParameterError):
                 run_lower_bound_report(d, M, [n], B_s, 1.0, 1.0, seed=0)
+        with pytest.raises(ParameterError, match="n_grid must be nonempty"):
+            run_lower_bound_report(9, 4, [], 1.0, 1.0, 1.0, seed=0)
 
     def test_pair_reduction_matches_per_pair_loop(self):
         # reference: the explicit loop over every codeword pair
@@ -470,6 +512,19 @@ class TestCli:
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["B", "sigma_x"])
+    def test_huge_scale_sweep_succeeds(self, tmp_path, capsys, field):
+        # the Kolmogorov crossing quadratic, formed in raw units, overflowed here
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"n_grid": [2000], "d_grid": [2], "M_grid": [2], "trials": 1, "seed": 4,
+             field: 1e150}
+        ))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 3
 
     def test_huge_B_does_not_overflow(self, tmp_path, params_file, capsys):
         # B ** 2 on a float above ~1.3e154 raised OverflowError, a traceback

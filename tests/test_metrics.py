@@ -134,6 +134,15 @@ class TestKolmogorov:
             )
             assert kolmogorov_gaussian(a, b) == pytest.approx(sup, abs=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e150, 1e300])
+    def test_stds_one_ulp_apart_at_any_scale(self, scale):
+        # near the equal-std closed form; a crossing quadratic in raw t overflowed
+        a = GaussianLaw1D(0.3 * scale, scale)
+        b = GaussianLaw1D(-0.4 * scale, float(np.nextafter(scale, np.inf)))
+        assert kolmogorov_gaussian(a, b) == pytest.approx(
+            2 * norm.cdf(0.35) - 1, rel=1e-12
+        )
+
 
 class TestUnfairness:
     def test_oracle_scores_zero(self):
