@@ -34,7 +34,15 @@ from .oracle import (
     quantile_compose_fdp,
     true_regressor,
 )
-from .estimator import ComponentEstimates, SplitPlan, fit, make_split, ols
+from .estimator import (
+    CellStats,
+    ComponentEstimates,
+    SplitPlan,
+    fit,
+    make_split,
+    ols,
+    sample_cell_stats,
+)
 from .metrics import (
     GaussianLaw1D,
     UnfairnessReport,

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo sweeps, rate-slope estimation, and report assembly.
 
 Sweeps iterate a (n, d, M) grid, fit the plugin estimator on freshly
-sampled data per trial, and record analytic excess risk, unfairness
+drawn cell statistics per trial, and record analytic excess risk, unfairness
 scores, and the per-component error terms whose individual 1/n rates
 drive the overall bound.  All randomness flows through per-trial seed
 sequences so results are byte-identical regardless of worker count.
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .estimator import ComponentEstimates, fit
+from .estimator import ComponentEstimates, fit, sample_cell_stats
 from .lower_bound import (
     _packing_B_s,
     build_family,
@@ -31,18 +31,18 @@ from .lower_bound import (
 )
 from .metrics import UnfairnessReport, unfairness
 from .model import (
+    GroupAffineRegressor,
     ModelParams,
     _is_finite_real,
     _is_int,
     from_dict,
     norm_diversity_factor,
-    sample_dataset,
     validate_params,
 )
-from .oracle import analytic_excess_risk, build_fdp
+from .oracle import FairOracle, analytic_excess_risk, build_fdp
 
-SWEEP_SCHEMA = "fairlinreg-sweep-2"
-LOWER_BOUND_SCHEMA = "fairlinreg-lower-bound-1"
+SWEEP_SCHEMA = "fairlinreg-sweep-3"
+LOWER_BOUND_SCHEMA = "fairlinreg-lower-bound-2"
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,13 @@ def random_valid_params(
 ) -> ModelParams:
     """Draw a random model satisfying every constraint.
 
-    Directions are uniform on the sphere, norms log-uniform in [B/4, B]
-    with rejection against the norm-diversity bound, and means uniform in
-    the U-ball.  Group probabilities are balanced, so B < 1, or B = 1 with
-    M >= 2, admits no norms and is a ConfigError before any draw.
+    Directions are uniform on the sphere, norms log-uniform in [B/r, B]
+    with r = min(4, B^2), and means uniform in the U-ball.  Group
+    probabilities are balanced, and on that range the norm-diversity factor
+    stays below B^2 (at most about 3.43 at r = 4, about 1 + 3 (B - 1)^2 as
+    B -> 1), so every draw meets the bound and the rejection loop only
+    guards round-off.  B < 1, or B = 1 with M >= 2, admits no norms and is
+    a ConfigError before any draw.
     """
     if B < 1.0 or (B == 1.0 and M >= 2):
         raise ConfigError(
@@ -112,7 +115,7 @@ def random_valid_params(
         )
     p = np.full(M, 1.0 / M)
     for _ in range(10_000):
-        norms = np.exp(rng.uniform(math.log(B / 4.0), math.log(B), size=M))
+        norms = np.exp(rng.uniform(math.log(B / min(4.0, B * B)), math.log(B), size=M))
         if norm_diversity_factor(p, norms) <= B * B:  # B ** 2 on a float can overflow
             break
     else:
@@ -147,23 +150,23 @@ def component_errors(
     bar_norm = float(params.p @ norms)
     directions = params.beta / norms[:, None]
     e_mean = float(params.p @ _mean_leak(params, estimates) ** 2)
-    e_norm = (estimates.norm_hat_bar - bar_norm) ** 2
+    e_norm = np.square(estimates.norm_hat_bar - bar_norm)
     diff = estimates.dir_hat - directions
     e_coef = float(params.p @ np.einsum("ij,ij->i", diff, diff))
-    e_coef_prime = float(
+    e_coef_prime = np.square(
         estimates.p_hat
         @ np.einsum(
             "ij,ij->i", estimates.beta_prime_hat - params.beta, estimates.mu_prime_hat
         )
-    ) ** 2
-    e_mean_prime = float(
+    )
+    e_mean_prime = np.square(
         estimates.p_hat
         @ np.einsum("ij,ij->i", params.beta, estimates.mu_prime_hat - params.mu)
-    ) ** 2
-    e_prob = float(
+    )
+    e_prob = np.square(
         (estimates.p_hat - params.p)
         @ np.einsum("ij,ij->i", params.beta, params.mu)
-    ) ** 2
+    )
     return {
         "e_mean": e_mean,
         "e_norm": e_norm,
@@ -198,6 +201,20 @@ def undersampled(n: int, d: int, M: int, p_min: float, delta: float) -> bool:
     return n < 12.0 * max(3 * d, 4.0 * math.log(M / delta)) / p_min
 
 
+def _fit_trial(
+    oracle: FairOracle, n: int, seed: int, key: tuple[int, int]
+) -> tuple[float, GroupAffineRegressor, ComponentEstimates]:
+    """One Monte Carlo trial: draw cell statistics, fit them, score the fit.
+
+    The statistics are drawn from the seed sequence keyed by (*key, 1).
+    Returns the analytic excess risk, the regressor and its estimates.
+    """
+    params = oracle.params
+    stats = sample_cell_stats(params, n, np.random.SeedSequence(seed, spawn_key=(*key, 1)))
+    regressor, estimates = fit(stats, params.d, params.M, None)
+    return analytic_excess_risk(regressor, oracle), regressor, estimates
+
+
 def _run_trial(config: SweepConfig, cell_idx: int, cell, trial: int) -> dict:
     """One sweep row; its keys, in order, are the sweep CSV's columns."""
     n, d, M = cell
@@ -207,24 +224,22 @@ def _run_trial(config: SweepConfig, cell_idx: int, cell, trial: int) -> dict:
     params = random_valid_params(
         d, M, config.B, config.U, config.sigma_x, config.sigma_xi, params_rng
     )
-    data = sample_dataset(
-        params, n, np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 1))
-    )
-    regressor, estimates = fit(
-        data, d, M, np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 2))
-    )
-    risk = analytic_excess_risk(regressor, build_fdp(params))
-    report = unfairness(regressor, params)
     flag = undersampled(n, d, M, float(params.p.min()), config.delta)
-    return {
-        "n": n, "d": d, "M": M, "B": config.B, "trial": trial,
-        "excess_risk": risk,
-        "w2_unfairness": report.w2_max,
-        "kol_unfairness": report.kol_max,
-        **component_errors(params, estimates),
-        "d2_margin": parity_gap_margin(report, estimates, params),
-        "undersampled": int(flag),
-    }
+    # Squared errors of coefficients above ~1e154 exceed the float range and read inf.
+    with np.errstate(over="ignore"):
+        risk, regressor, estimates = _fit_trial(
+            build_fdp(params), n, config.seed, (cell_idx, trial)
+        )
+        report = unfairness(regressor, params)
+        return {
+            "n": n, "d": d, "M": M, "B": config.B, "trial": trial,
+            "excess_risk": risk,
+            "w2_unfairness": report.w2_max,
+            "kol_unfairness": report.kol_max,
+            **component_errors(params, estimates),
+            "d2_margin": parity_gap_margin(report, estimates, params),
+            "undersampled": int(flag),
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,10 +350,10 @@ def run_lower_bound_report(
     For each n: packing radii from the hard-instance formula, a randomized
     per-block code, the worst pairwise KL, and the Fano value built from
     the smallest pairwise two-point risk separation; next to it, the mean
-    analytic excess risk of the plugin estimator fit on data drawn from one
-    member of the same family.  trials >= 2, so each mean has a standard error,
-    n_grid is nonempty, and round(n / M) >= 1 for every n, so no group's KL
-    count is 0.
+    analytic excess risk of the plugin estimator fit on cell statistics drawn
+    from one member of the same family.  trials >= 2, so each mean has a
+    standard error, n_grid is nonempty, and round(n / M) >= 1 for every n,
+    so no group's KL count is 0.
     d, M, B_s, n_grid and trials are checked before any work (ParameterError).
     """
     if trials < 2:
@@ -368,17 +383,8 @@ def run_lower_bound_report(
             epsilon = min(epsilon, float(sep.min()))
         fano = fano_value(epsilon, code.size, kl_max)
 
-        params = family.params_of(C[0], p, sigma_x, sigma_xi)
-        oracle = build_fdp(params)
-        risks = np.empty(trials)
-        for t in range(trials):
-            data = sample_dataset(
-                params, n, np.random.SeedSequence(seed, spawn_key=(n_idx, t, 0))
-            )
-            regressor, _ = fit(
-                data, d, M, np.random.SeedSequence(seed, spawn_key=(n_idx, t, 1))
-            )
-            risks[t] = analytic_excess_risk(regressor, oracle)
+        oracle = build_fdp(family.params_of(C[0], p, sigma_x, sigma_xi))
+        risks = np.array([_fit_trial(oracle, n, seed, (n_idx, t))[0] for t in range(trials)])
         records.append(
             {
                 "d": d, "M": M, "n": n, "epsilon": epsilon, "K": code.size,

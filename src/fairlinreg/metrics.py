@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .model import GroupAffineRegressor, ModelParams, sample_dataset
+from .model import GroupAffineRegressor, ModelParams, _norm, sample_dataset
 from .oracle import FairOracle, _std_normal_cdf
 
 # Chunk size for Monte Carlo accumulation; fixed so results are independent
@@ -72,7 +72,7 @@ def conditional_law(
     if not 0 <= s < params.M:
         raise DimensionError(f"group index {s} out of range [0, {params.M})")
     mean = float(f.w[s] @ params.mu[s] + f.b[s])
-    std = float(params.sigma_x * np.linalg.norm(f.w[s]))
+    std = params.sigma_x * _norm(f.w[s])
     return GaussianLaw1D(mean=mean, std=std)
 
 

@@ -48,6 +48,17 @@ def _frozen_array(a, name: str, dtype=float) -> np.ndarray:
     return out
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d v, to the bit, and finite above ~1e154.
+
+    Scaling by a power of two is exact, and keeps the square of such a norm
+    finite.
+    """
+    exponent = math.frexp(np.abs(v).max())[1]
+    scaled = np.ldexp(v, -exponent)
+    return math.ldexp(math.sqrt(scaled @ scaled), exponent)
+
+
 def to_dict(obj) -> dict:
     """A dataclass's fields, in field order, as JSON-ready values (arrays as lists)."""
     out = {}
@@ -87,8 +98,11 @@ def norm_diversity_factor(p: np.ndarray, norms: np.ndarray) -> float:
     """Left side of the second norm-diversity inequality.
 
     (sum_s p_s ||beta_s||)^2 * (1/M) * sum_s ||beta_s||^-2, for positive norms.
+    The factor is scale-free, so the norms are divided by their maximum first:
+    squaring norms above ~1e154 would overflow.
     """
-    return float((p @ norms) ** 2 * np.mean(norms ** -2.0))
+    ratios = norms / norms.max()
+    return float((p @ ratios) ** 2 * np.mean(ratios ** -2.0))
 
 
 @dataclass(frozen=True)
@@ -130,7 +144,9 @@ class ModelParams:
 
     @property
     def beta_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.beta, axis=1)
+        # Scaling by a power of two is exact, and keeps squares of norms above ~1e154 finite.
+        _, exponent = np.frexp(np.abs(self.beta).max())
+        return np.ldexp(np.linalg.norm(np.ldexp(self.beta, -exponent), axis=1), exponent)
 
     def diversity_factor(self) -> float:
         """``norm_diversity_factor`` of this model; needs every ||beta_s|| > 0."""

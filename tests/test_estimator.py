@@ -7,17 +7,22 @@ import pytest
 
 from _support import make_params
 from fairlinreg import (
+    CellStats,
     Dataset,
+    DimensionError,
+    ParameterError,
     SingularMatrixError,
+    analytic_excess_risk,
     build_fdp,
     evaluate,
     fit,
     make_split,
     ols,
     random_valid_params,
+    sample_cell_stats,
     sample_dataset,
 )
-from fairlinreg.estimator import MAX_GRAM_CONDITION
+from fairlinreg.estimator import MAX_GRAM_CONDITION, _cell_table
 
 
 class TestMakeSplit:
@@ -250,3 +255,112 @@ class TestFit:
         assert [f.name for f in dataclasses.fields(estimates)] == list(expect)
         for name, value in expect.items():
             assert np.array_equal(getattr(estimates, name), value), name
+
+
+def _cells_from_rows(data, plan):
+    """The CellStats of a dataset under a split, each cell gathered explicitly."""
+    M, d = data.M, data.d
+    size = np.zeros((M, 3, 2), dtype=np.int64)
+    total, xty = np.zeros((2, M, 3, 2, d))
+    gram = np.zeros((M, 3, 2, d, d))
+    for s in range(M):
+        halves = np.array_split(plan.two[s], 2)
+        for i, third in enumerate(np.array_split(plan.three[s], 3)):
+            for j, half in enumerate(halves):
+                idx = np.intersect1d(third, half)
+                x, y = data.x[idx], data.y[idx]
+                size[s, i, j] = len(idx)
+                total[s, i, j], gram[s, i, j], xty[s, i, j] = x.sum(axis=0), x.T @ x, x.T @ y
+    return CellStats(size=size, total=total, gram=gram, xty=xty)
+
+
+class TestCellStats:
+    def test_cell_table_margins_are_the_block_sizes(self):
+        rng = np.random.default_rng(30)
+        counts = np.concatenate([np.arange(200), rng.integers(200, 10**6, size=100)])
+        table = _cell_table(counts, rng)
+        assert table.shape == (len(counts), 3, 2) and np.all(table >= 0)
+        for count, cells in zip(counts, table):
+            thirds = [len(b) for b in np.array_split(np.arange(count), 3)]
+            halves = [len(b) for b in np.array_split(np.arange(count), 2)]
+            assert cells.sum(axis=1).tolist() == thirds
+            assert cells.sum(axis=0).tolist() == halves
+
+    @pytest.mark.parametrize("sizes", [(61, 29, 7), (55,)], ids=["gates_mixed", "M1"])
+    def test_fit_on_the_cells_of_a_split_matches_the_row_route(self, sizes):
+        # same blocks, so the same estimates up to the order of summation
+        d, M = 2, len(sizes)
+        rng = np.random.default_rng(31)
+        s = rng.permutation(np.repeat(np.arange(M), sizes))
+        x = rng.standard_normal((len(s), d)) + s[:, None]
+        y = np.einsum("ij,ij->i", x, rng.standard_normal((M, d))[s]) + rng.standard_normal(len(s))
+        data = Dataset(x=x, s=s, y=y, M=M)
+        cells = _cells_from_rows(data, make_split(data, seed=32))
+        _, from_rows = fit(data, d, M, seed=32)
+        _, from_cells = fit(cells, d, M, None)
+        for f in dataclasses.fields(from_rows):
+            a, b = getattr(from_rows, f.name), getattr(from_cells, f.name)
+            assert np.allclose(a, b, rtol=1e-9, atol=1e-12), f.name
+
+    def test_same_law_as_the_row_route(self):
+        # d = 3: group 3 holds ~12 rows, so it is gated off and most of its
+        # cells hold at most d rows and are drawn as rows
+        from scipy.stats import ks_2samp
+
+        d, M, n, trials = 3, 3, 600, 2000
+        rng = np.random.default_rng(33)
+        params = make_params(
+            0.6 * rng.standard_normal((M, d)), mu=0.3 * rng.standard_normal((M, d)),
+            p=[0.49, 0.49, 0.02], B=3.0,
+        )
+        oracle = build_fdp(params)
+        draws = {"rows": [], "cells": []}
+        small_cells = 0
+        for t in range(trials):
+            data = sample_dataset(params, n, np.random.SeedSequence(34, spawn_key=(t, 0)))
+            draws["rows"].append(fit(data, d, M, np.random.SeedSequence(34, spawn_key=(t, 1))))
+            cells = sample_cell_stats(params, n, np.random.SeedSequence(35, spawn_key=(t,)))
+            small_cells += int(np.sum((cells.size > 0) & (cells.size <= d)))
+            draws["cells"].append(fit(cells, d, M, None))
+        assert small_cells > trials
+        laws = {}
+        for route, fits in draws.items():
+            gates = np.array([[e.gate_18d, e.gate_12d] for _, e in fits])
+            assert np.all(gates[:, :, :2]) and not np.any(gates[:, :, 2])
+            laws[route] = (
+                [analytic_excess_risk(r, oracle) for r, _ in fits],
+                [e.norm_hat_bar for _, e in fits],
+            )
+        for rows, cells in zip(laws["rows"], laws["cells"]):
+            assert ks_2samp(rows, cells).pvalue > 0.01
+
+    def test_seed_determinism(self):
+        params = random_valid_params(3, 2, 1.5, 1.0, 1.0, 1.0, np.random.default_rng(36))
+        a, b = (sample_cell_stats(params, 5000, seed=37) for _ in range(2))
+        for name in ("size", "total", "gram", "xty"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.n == 5000 and (a.M, a.d) == (2, 3)
+
+    def test_ill_conditioned_block_raises(self):
+        # the norm block of group 0 (cells (0, 0) and (0, 1)) has condition 1e13
+        d, M = 2, 1
+        size = np.full((M, 3, 2), 20)
+        gram = np.tile(np.eye(d), (M, 3, 2, 1, 1))
+        gram[0, 0] = np.diag([1.0, 1e-13])
+        stats = CellStats(size=size, total=np.zeros((M, 3, 2, d)), gram=gram, xty=np.ones((M, 3, 2, d)))
+        with pytest.raises(SingularMatrixError, match="condition estimate"):
+            fit(stats, d, M, None)
+
+    def test_bad_shapes_and_sizes_rejected(self):
+        good = dict(size=np.ones((2, 3, 2)), total=np.zeros((2, 3, 2, 4)),
+                    gram=np.zeros((2, 3, 2, 4, 4)), xty=np.zeros((2, 3, 2, 4)))
+        for name, bad in (("size", np.ones((2, 2, 3))), ("gram", np.zeros((2, 3, 2, 4))),
+                          ("xty", np.zeros((2, 3, 2, 3)))):
+            with pytest.raises(DimensionError):
+                CellStats(**{**good, name: bad})
+        with pytest.raises(ParameterError):
+            CellStats(**{**good, "size": -np.ones((2, 3, 2))})
+        with pytest.raises(ParameterError):
+            CellStats(**{**good, "gram": np.full((2, 3, 2, 4, 4), np.inf)})
+        with pytest.raises(DimensionError):
+            fit(CellStats(**good), 3, 2, None)

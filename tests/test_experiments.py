@@ -35,9 +35,9 @@ from fairlinreg import (
     sample_dataset,
     validate_params,
 )
-from fairlinreg import cli
+from fairlinreg import cli, experiments
 from fairlinreg.cli import main
-from fairlinreg.model import GroupAffineRegressor
+from fairlinreg.model import GroupAffineRegressor, norm_diversity_factor
 
 
 class TestSweepConfig:
@@ -98,6 +98,26 @@ class TestRandomValidParams:
             norms = params.beta_norms
             assert np.all(norms >= B / 4 - 1e-12) and np.all(norms <= B + 1e-12)
 
+    @pytest.mark.parametrize("B", [1.0 + 1e-9, 1.0001, 1.5, 2.0, 3.0, 1e200])
+    def test_every_norm_draw_meets_the_diversity_bound(self, B, monkeypatch):
+        # norms in [B / min(4, B^2), B]; with [B / 4, B], B = 1.0001 and M = 6
+        # spent all 10,000 rejection draws
+        draws = []
+
+        def counted(p, norms):
+            draws.append(norms)
+            return norm_diversity_factor(p, norms)
+
+        monkeypatch.setattr(experiments, "norm_diversity_factor", counted)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            params = random_valid_params(2, 6, B, 1.0, 1.0, 1.0, rng)
+            assert validate_params(params) == []
+        norms = np.array(draws)
+        assert norms.shape == (20, 6)
+        assert np.all(norms >= B / min(4.0, B * B) * (1 - 1e-12))
+        assert np.all(norms <= B * (1 + 1e-12))
+
     @pytest.mark.parametrize("B, M", [(0.5, 3), (0.5, 1), (1.0, 3), (1.0, 2)])
     def test_unreachable_diversity_bound_rejected_before_drawing(self, B, M):
         # balanced groups have a diversity factor >= 1, equal to 1 only for equal norms
@@ -141,7 +161,7 @@ class TestRunSweep:
             )
         )
         lines = out.read_text().splitlines()
-        assert lines[0] == "# schema=fairlinreg-sweep-2"
+        assert lines[0] == "# schema=fairlinreg-sweep-3"
         assert lines[1].startswith("n,d,M,B,trial,excess_risk,")
         assert lines[1].split(",") == result.columns
 
@@ -161,7 +181,7 @@ class TestRunSweep:
         empty = result.select(n=300)
         assert empty.rows == [] and empty.columns == names
         assert empty.to_csv_text().splitlines() == [
-            "# schema=fairlinreg-sweep-2", ",".join(names)
+            "# schema=fairlinreg-sweep-3", ",".join(names)
         ]
 
     def test_nonnegative_outputs(self):
@@ -227,7 +247,7 @@ class TestLowerBoundReport:
         assert np.all(fano <= risk + 4 * se)
         assert np.all(fano > 0.0)
         lines = out.read_text().splitlines()
-        assert lines[0] == "# schema=fairlinreg-lower-bound-1"
+        assert lines[0] == "# schema=fairlinreg-lower-bound-2"
         assert lines[1].split(",") == result.columns
         names = result.columns
         for row in result.rows:
@@ -525,6 +545,26 @@ class TestCli:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+    @pytest.mark.parametrize("extra", [{"B": 1.0001, "M_grid": [6]}, {"B": 1e200}])
+    def test_extreme_B_sweep_succeeds(self, tmp_path, capsys, extra):
+        # B = 1.0001 spent every norm draw, and B = 1e200 overflowed the
+        # diversity factor; squared errors past the float range read inf
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"n_grid": [300], "d_grid": [2], "M_grid": [2], "trials": 2, "seed": 4, **extra}
+        ))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, *rows = out.read_text().splitlines()[1:]
+        columns = header.split(",")
+        assert len(rows) == 2
+        for row in rows:
+            values = dict(zip(columns, row.split(",")))
+            assert np.isfinite(float(values["w2_unfairness"]))
+            assert float(values["excess_risk"]) > 0.0
 
     def test_huge_B_does_not_overflow(self, tmp_path, params_file, capsys):
         # B ** 2 on a float above ~1.3e154 raised OverflowError, a traceback

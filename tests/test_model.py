@@ -22,7 +22,7 @@ from fairlinreg import (
     to_dict,
     validate_params,
 )
-from fairlinreg.model import from_dict
+from fairlinreg.model import _norm, from_dict, norm_diversity_factor
 
 
 class TestValidateParams:
@@ -76,6 +76,32 @@ class TestValidateParams:
                 d=3, M=2, beta=np.ones((2, 2)), mu=np.zeros((2, 3)),
                 p=[0.5, 0.5], sigma_x=1.0, sigma_xi=1.0, B=2.0, U=1.0,
             )
+
+
+class TestScaleFreeNorms:
+    @pytest.mark.parametrize("scale", [1e-200, 1e-3, 1e200, 1e300])
+    def test_diversity_factor_ignores_scale(self, scale):
+        # squares of norms above ~1e154 overflowed to inf times an underflowed 0
+        p, norms = np.array([0.2, 0.3, 0.5]), np.array([1.0, 2.0, 3.5])
+        base = norm_diversity_factor(p, norms)
+        assert norm_diversity_factor(p, scale * norms) == pytest.approx(base, rel=1e-14)
+
+    def test_beta_norms_match_numpy_to_the_bit(self):
+        beta = np.random.default_rng(0).standard_normal((5, 7))
+        params = make_params(beta)
+        assert np.array_equal(params.beta_norms, np.linalg.norm(beta, axis=1))
+
+    def test_huge_beta_norms_are_finite(self):
+        params = make_params([[3e300, 4e300], [0.0, 1e300]], B=1e301)
+        assert params.beta_norms == pytest.approx([5e300, 1e300], rel=1e-15)
+
+    def test_vector_norm_matches_numpy_to_the_bit(self):
+        rng = np.random.default_rng(1)
+        for d in (1, 2, 5, 10):
+            v = rng.standard_normal(d)
+            assert _norm(v) == np.linalg.norm(v)
+        assert _norm(np.zeros(3)) == 0.0
+        assert _norm(np.array([3e300, -4e300])) == pytest.approx(5e300, rel=1e-15)
 
 
 class TestSampleDataset:
