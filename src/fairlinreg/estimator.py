@@ -15,6 +15,10 @@ picks where they come from:
 Component estimators are gated on per-group sample size; gated-off
 components are zeroed, which can drive the assembled regressor to the zero
 constant on tiny groups.
+
+Sweeps run many trials at once: ``_draw_cells`` makes one trial's draws,
+then ``_cell_stats`` and ``_fit_cells`` form and fit a batch of them.
+``sample_cell_stats`` and ``fit`` call the same kernels on a batch of one.
 """
 
 from __future__ import annotations
@@ -29,8 +33,13 @@ from .model import (
     Dataset,
     GroupAffineRegressor,
     ModelParams,
+    _check_finite,
+    _dot,
     _frozen_array,
+    _ModelStack,
     _norm,
+    _rowdot,
+    _trial,
     validate_params,
 )
 from .oracle import _assemble
@@ -164,6 +173,89 @@ def _cell_table(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return table
 
 
+def _check_model(params: ModelParams, n: int) -> None:
+    """The entry check of a draw from the model: valid parameters and n >= 1."""
+    report = validate_params(params)
+    if report:
+        raise ParameterError("invalid model parameters: " + "; ".join(report))
+    if n < 1:
+        raise ParameterError(f"n must be positive, got {n}")
+
+
+def _draw_cells(params: ModelParams, n: int, rng: np.random.Generator) -> tuple:
+    """One trial's random draws for its cell statistics, in ``sample_cell_stats``'s order.
+
+    Returns the (M, 3, 2) cell table; for the k cells of m >= d + 1 rows,
+    the Bartlett normals (k, d, d) and chi-square variates (k, d), the sum
+    normals (k, d) and the noise normals (k, d + 1, 1); and, for each
+    smaller cell, its flat index with Σx, XᵀX and Xᵀy of its drawn rows.
+    """
+    d, sigma_x, sigma_xi = params.d, params.sigma_x, params.sigma_xi
+    table = _cell_table(rng.multinomial(n, params.p), rng)
+    m = table.reshape(-1)  # cells in (group, third, half) order
+    big = m > d
+    k = int(big.sum())
+    bartlett = rng.standard_normal((k, d, d))
+    chi2 = rng.chisquare(m[big, None] - 1.0 - np.arange(d))
+    sums = rng.standard_normal((k, d))
+    noise = rng.standard_normal((k, d + 1, 1))
+    small = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cell in np.flatnonzero((m > 0) & ~big):
+            group = cell // 6
+            x = params.mu[group] + sigma_x * rng.standard_normal((m[cell], d))
+            y = x @ params.beta[group] + sigma_xi * rng.standard_normal(m[cell])
+            small.append((cell, x.sum(axis=0), x.T @ x, x.T @ y))
+    return table, bartlett, chi2, sums, noise, small
+
+
+def _cell_stats(models: _ModelStack, draws: list[tuple]) -> tuple[np.ndarray, ...]:
+    """(size, total, gram, xty) of T trials' ``_draw_cells`` draws, each (T, M, 3, 2[, d[, d]]).
+
+    Every trial's big cells are formed at once; the arithmetic of a cell
+    does not depend on the other cells in the batch.  A draw that overflows
+    raises ``ParameterError``, as the ``CellStats`` constructor does.
+    """
+    T, M, d = models.mu.shape
+    table = np.stack([draw[0] for draw in draws])
+    m = table.reshape(-1)  # cells in (trial, group, third, half) order
+    big = m > d
+    # each group's mean and coefficients, and each trial's sigmas, once per big cell
+    mu, beta = (np.repeat(a.reshape(T * M, d), 6, axis=0)[big] for a in (models.mu, models.beta))
+    sigma_x, sigma_xi = (
+        np.repeat(a, 6 * M)[big, None, None] for a in (models.sigma_x, models.sigma_xi)
+    )
+    chi2, sums, noise = (np.concatenate([draw[i] for draw in draws]) for i in range(2, 5))
+    total = np.zeros((m.size, d))
+    gram = np.zeros((m.size, d, d))
+    xty = np.zeros((m.size, d))
+    diag = np.arange(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.empty((len(sums), d, d + 1))  # F = [sigma_x A | c], built in place
+        a = f[:, :, :d]
+        np.concatenate([draw[1] for draw in draws], out=a)
+        a *= np.tri(d, k=-1)
+        a[:, diag, diag] = np.sqrt(chi2)
+        a *= sigma_x
+        root_m = np.sqrt(m[big, None])
+        c = sigma_x[:, 0] * sums + root_m * mu
+        f[:, :, d] = c
+        gram[big] = big_gram = f @ f.transpose(0, 2, 1)
+        total[big] = root_m * c
+        xty[big] = (big_gram @ beta[:, :, None] + sigma_xi * (f @ noise))[..., 0]
+    for trial, draw in enumerate(draws):
+        for cell, *stats in draw[5]:
+            i = trial * 6 * M + cell
+            total[i], gram[i], xty[i] = stats
+    shape = (T, M, 3, 2)
+    return (
+        table,
+        _check_finite(total.reshape(shape + (d,)), "total"),
+        _check_finite(gram.reshape(shape + (d, d)), "gram"),
+        _check_finite(xty.reshape(shape + (d,)), "xty"),
+    )
+
+
 def sample_cell_stats(
     params: ModelParams, n: int, seed: int | np.random.SeedSequence
 ) -> CellStats:
@@ -184,51 +276,21 @@ def sample_cell_stats(
       g ~ N(0, I_{d+1}), and Xᵀy = XᵀX beta + Xᵀ(noise).
 
     Then the rows of each smaller cell are drawn and summed; only tiny groups
-    have such cells.  A draw that overflows is rejected as non-finite by the
-    ``CellStats`` constructor.
+    have such cells.  A draw that overflows is rejected as non-finite.
+    This is a batch of one of the kernels that sweeps run on many trials.
     """
-    report = validate_params(params)
-    if report:
-        raise ParameterError("invalid model parameters: " + "; ".join(report))
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
-    M, d, sigma_x, sigma_xi = params.M, params.d, params.sigma_x, params.sigma_xi
-    table = _cell_table(rng.multinomial(n, params.p), rng)
-    m = table.reshape(-1)  # cells in (group, third, half) order
-    mu = np.repeat(params.mu, 6, axis=0)
-    beta = np.repeat(params.beta, 6, axis=0)
-    total = np.zeros((m.size, d))
-    gram = np.zeros((m.size, d, d))
-    xty = np.zeros((m.size, d))
-    big = m > d
-    k = int(big.sum())
-    diag = np.arange(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = rng.standard_normal((k, d, d)) * np.tri(d, k=-1)
-        a[:, diag, diag] = np.sqrt(rng.chisquare(m[big, None] - 1.0 - diag))
-        root_m = np.sqrt(m[big, None])
-        c = sigma_x * rng.standard_normal((k, d)) + root_m * mu[big]
-        f = np.concatenate([sigma_x * a, c[:, :, None]], axis=2)
-        gram[big] = f @ f.transpose(0, 2, 1)
-        total[big] = root_m * c
-        noise = f @ rng.standard_normal((k, d + 1, 1))
-        xty[big] = (gram[big] @ beta[big, :, None] + sigma_xi * noise)[..., 0]
-        for cell in np.flatnonzero((m > 0) & ~big):
-            x = mu[cell] + sigma_x * rng.standard_normal((m[cell], d))
-            y = x @ beta[cell] + sigma_xi * rng.standard_normal(m[cell])
-            total[cell], gram[cell], xty[cell] = x.sum(axis=0), x.T @ x, x.T @ y
-    return CellStats(
-        size=table,
-        total=total.reshape(M, 3, 2, d),
-        gram=gram.reshape(M, 3, 2, d, d),
-        xty=xty.reshape(M, 3, 2, d),
-    )
+    _check_model(params, n)
+    draw = _draw_cells(params, n, np.random.default_rng(seed))
+    size, total, gram, xty = _cell_stats(_ModelStack.of([params]), [draw])
+    return CellStats(size=size[0], total=total[0], gram=gram[0], xty=xty[0])
 
 
 @dataclass(frozen=True)
 class ComponentEstimates:
-    """Every per-component estimate entering the assembled regressor."""
+    """Every per-component estimate entering the assembled regressor.
+
+    Inside the batch kernels every field carries a leading trial axis.
+    """
 
     p_hat: np.ndarray          # (M,)
     norm_hat_s: np.ndarray     # (M,) per-group coefficient-norm estimates
@@ -242,12 +304,12 @@ class ComponentEstimates:
 
 
 def _row_coefficients(data: Dataset, blocks: list, gated: np.ndarray) -> np.ndarray:
-    """One ``ols`` on the rows of each gated regression block."""
+    """One ``ols`` on the rows of each gated regression block of a batch of one."""
     coef = np.zeros(gated.shape + (data.d,))
-    for s, k in zip(*np.nonzero(gated)):
+    for s, k in zip(*np.nonzero(gated[0])):
         # np.take gathers whole rows; x[idx] took about 4x longer on (n, d) arrays
         idx = blocks[s][REGRESSION_BLOCKS[k]]
-        coef[s, k] = ols(np.take(data.x, idx, axis=0), np.take(data.y, idx))
+        coef[0, s, k] = ols(np.take(data.x, idx, axis=0), np.take(data.y, idx))
     return coef
 
 
@@ -260,34 +322,37 @@ def _gram_coefficients(gram: np.ndarray, xty: np.ndarray, gated: np.ndarray) -> 
 
 def _estimate(
     sizes: np.ndarray, mean_sums: np.ndarray, coefficients
-) -> tuple[GroupAffineRegressor, ComponentEstimates]:
+) -> tuple[np.ndarray, np.ndarray, ComponentEstimates]:
     """The step of ``fit`` that both routes share: gates, gated solves, assembly.
 
-    ``sizes`` (M, 5) counts the rows of each group's five blocks and
-    ``mean_sums`` (M, 2, d) holds Σx of its two mean blocks.
-    ``coefficients(gated)`` returns the (M, 3, d) OLS coefficients of the
-    norm, direction and coefficient blocks where ``gated`` is True, zeros
-    elsewhere.
+    For T trials at once: ``sizes`` (T, M, 5) counts the rows of each
+    group's five blocks and ``mean_sums`` (T, M, 2, d) holds Σx of its two
+    mean blocks.  ``coefficients(gated)`` returns the (T, M, 3, d) OLS
+    coefficients of the norm, direction and coefficient blocks where
+    ``gated`` is True, zeros elsewhere.  Returns the regressors' w (T, M, d)
+    and b (T, M) and the estimates, each with the leading trial axis.
     """
-    M, _, d = mean_sums.shape
-    counts = sizes[:, :3].sum(axis=1)
-    p_hat = counts / counts.sum()
+    d = mean_sums.shape[-1]
+    counts = sizes[..., :3].sum(axis=-1)
+    p_hat = counts / counts.sum(axis=-1, keepdims=True)
     gate_18d = counts > 18 * d
     gate_12d = counts > 12 * d
-    coef = coefficients(np.column_stack([gate_18d, gate_18d, gate_12d]))
+    coef = coefficients(np.stack([gate_18d, gate_18d, gate_12d], axis=-1))
 
-    norm_hat_s, b2_norm = np.array([[_norm(b) for b in coef[:, k]] for k in (0, 1)])
-    b2_norm = b2_norm[:, None]
-    dir_hat = np.divide(coef[:, 1], b2_norm, out=np.zeros((M, d)), where=b2_norm > 0.0)
-    mean_sizes = sizes[:, MEAN_BLOCKS, None]
-    means = np.divide(mean_sums, mean_sizes, out=np.zeros((M, 2, d)), where=mean_sizes > 0)
-    mu_hat = means[:, 0]
-    beta_prime_hat = coef[:, 2]
-    mu_prime_hat = np.where(gate_12d[:, None], means[:, 1], 0.0)
+    norm_hat_s = _norm(coef[..., 0, :])
+    b2_norm = _norm(coef[..., 1, :])[..., None]
+    dir_hat = np.divide(
+        coef[..., 1, :], b2_norm, out=np.zeros(coef[..., 1, :].shape), where=b2_norm > 0.0
+    )
+    mean_sizes = sizes[..., MEAN_BLOCKS, None]
+    means = np.divide(mean_sums, mean_sizes, out=np.zeros(mean_sums.shape), where=mean_sizes > 0)
+    mu_hat = means[..., 0, :]
+    beta_prime_hat = coef[..., 2, :]
+    mu_prime_hat = np.where(gate_12d[..., None], means[..., 1, :], 0.0)
 
-    norm_hat_bar = float(p_hat @ norm_hat_s)
-    const_hat = float(p_hat @ np.einsum("ij,ij->i", beta_prime_hat, mu_prime_hat))
-    regressor = _assemble(norm_hat_bar, dir_hat, mu_hat, const_hat)
+    norm_hat_bar = _dot(p_hat, norm_hat_s)
+    const_hat = _dot(p_hat, _rowdot(beta_prime_hat, mu_prime_hat))
+    w, b = _assemble(norm_hat_bar, dir_hat, mu_hat, const_hat)
 
     estimates = ComponentEstimates(
         p_hat=p_hat,
@@ -300,7 +365,23 @@ def _estimate(
         gate_18d=gate_18d,
         gate_12d=gate_12d,
     )
-    return regressor, estimates
+    return w, b, estimates
+
+
+def _fit_cells(
+    size: np.ndarray, total: np.ndarray, gram: np.ndarray, xty: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, ComponentEstimates]:
+    """``fit`` on T trials' cell statistics, each with a leading trial axis, as one batch."""
+
+    def block_sums(a):  # each third is a row of a group's cell table, each half a column
+        return np.concatenate([a.sum(axis=3), a.sum(axis=2)], axis=2)
+
+    coefficients = partial(
+        _gram_coefficients,
+        block_sums(gram)[:, :, REGRESSION_BLOCKS],
+        block_sums(xty)[:, :, REGRESSION_BLOCKS],
+    )
+    return _estimate(block_sums(size), block_sums(total)[:, :, MEAN_BLOCKS], coefficients)
 
 
 def fit(
@@ -322,14 +403,10 @@ def fit(
         mean_sums = np.array(
             [[np.take(data.x, group[k], axis=0).sum(axis=0) for k in MEAN_BLOCKS] for group in blocks]
         ).reshape(M, 2, d)
-        return _estimate(sizes, mean_sums, partial(_row_coefficients, data, blocks))
-
-    def block_sums(a):  # each third is a row of the cell table, each half a column
-        return np.concatenate([a.sum(axis=2), a.sum(axis=1)], axis=1)
-
-    coefficients = partial(
-        _gram_coefficients,
-        block_sums(data.gram)[:, REGRESSION_BLOCKS],
-        block_sums(data.xty)[:, REGRESSION_BLOCKS],
-    )
-    return _estimate(block_sums(data.size), block_sums(data.total)[:, MEAN_BLOCKS], coefficients)
+        w, b, estimates = _estimate(
+            sizes[None], mean_sums[None], partial(_row_coefficients, data, blocks)
+        )
+    else:
+        cells = (data.size, data.total, data.gram, data.xty)
+        w, b, estimates = _fit_cells(*(a[None] for a in cells))
+    return GroupAffineRegressor(w=w[0], b=b[0]), _trial(estimates, 0)

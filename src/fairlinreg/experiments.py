@@ -3,8 +3,10 @@
 Sweeps iterate a (n, d, M) grid, fit the plugin estimator on freshly
 drawn cell statistics per trial, and record analytic excess risk, unfairness
 scores, and the per-component error terms whose individual 1/n rates
-drive the overall bound.  All randomness flows through per-trial seed
-sequences so results are byte-identical regardless of worker count.
+drive the overall bound.  Each trial draws from its own seed sequences;
+after the draws, a cell's trials are fitted and scored as one batch whose
+arithmetic per trial does not depend on the batch, so results are
+byte-identical regardless of batch size and worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .estimator import ComponentEstimates, fit, sample_cell_stats
+from .estimator import ComponentEstimates, _cell_stats, _check_model, _draw_cells, _fit_cells
+from .estimator import fit  # noqa: F401  unused here; perfbench's tracer test patches this alias
 from .lower_bound import (
     _packing_B_s,
     build_family,
@@ -29,20 +32,28 @@ from .lower_bound import (
     packed_pair_kl,
     packed_pair_separation,
 )
-from .metrics import UnfairnessReport, unfairness
+from .metrics import UnfairnessReport, _unfairness
 from .model import (
-    GroupAffineRegressor,
     ModelParams,
+    _as_batch,
+    _dot,
     _is_finite_real,
     _is_int,
+    _ModelStack,
+    _rowdot,
     from_dict,
     norm_diversity_factor,
     validate_params,
 )
-from .oracle import FairOracle, analytic_excess_risk, build_fdp
+from .oracle import _fair, _l2_distance
 
 SWEEP_SCHEMA = "fairlinreg-sweep-3"
 LOWER_BOUND_SCHEMA = "fairlinreg-lower-bound-2"
+
+# Most trials fitted and scored as one batch: a sweep job is one batch of a
+# cell's trials.  A trial's arithmetic does not depend on its batch, so
+# neither do the outputs; the bound caps a batch's memory.
+TRIAL_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -137,44 +148,48 @@ def random_valid_params(
     return params
 
 
-def _mean_leak(params: ModelParams, estimates: ComponentEstimates) -> np.ndarray:
+def _mean_leak(models: _ModelStack, estimates: ComponentEstimates) -> np.ndarray:
     """Per group, <dir_hat_s, mu_s - mu_hat_s>: the mean-estimation error on the slope."""
-    return np.einsum("ij,ij->i", estimates.dir_hat, params.mu - estimates.mu_hat)
+    return _rowdot(estimates.dir_hat, models.mu - estimates.mu_hat)
+
+
+def _component_errors(models: _ModelStack, estimates: ComponentEstimates) -> dict[str, np.ndarray]:
+    """``component_errors`` of T trials as one batch: each value has one entry per trial."""
+    norms = models.norms
+    bar_norm = _dot(models.p, norms)
+    directions = models.beta / norms[..., None]
+    diff = estimates.dir_hat - directions
+    p_hat = estimates.p_hat
+    return {
+        "e_mean": _dot(models.p, _mean_leak(models, estimates) ** 2),
+        "e_norm": np.square(estimates.norm_hat_bar - bar_norm),
+        "e_coef": _dot(models.p, _rowdot(diff, diff)),
+        "e_coef_prime": np.square(
+            _dot(p_hat, _rowdot(estimates.beta_prime_hat - models.beta, estimates.mu_prime_hat))
+        ),
+        "e_mean_prime": np.square(
+            _dot(p_hat, _rowdot(models.beta, estimates.mu_prime_hat - models.mu))
+        ),
+        "e_prob": np.square(_dot(p_hat - models.p, _rowdot(models.beta, models.mu))),
+    }
 
 
 def component_errors(
     params: ModelParams, estimates: ComponentEstimates
 ) -> dict[str, float]:
     """The six per-component squared error terms, each against its true target."""
-    norms = params.beta_norms
-    bar_norm = float(params.p @ norms)
-    directions = params.beta / norms[:, None]
-    e_mean = float(params.p @ _mean_leak(params, estimates) ** 2)
-    e_norm = np.square(estimates.norm_hat_bar - bar_norm)
-    diff = estimates.dir_hat - directions
-    e_coef = float(params.p @ np.einsum("ij,ij->i", diff, diff))
-    e_coef_prime = np.square(
-        estimates.p_hat
-        @ np.einsum(
-            "ij,ij->i", estimates.beta_prime_hat - params.beta, estimates.mu_prime_hat
-        )
-    )
-    e_mean_prime = np.square(
-        estimates.p_hat
-        @ np.einsum("ij,ij->i", params.beta, estimates.mu_prime_hat - params.mu)
-    )
-    e_prob = np.square(
-        (estimates.p_hat - params.p)
-        @ np.einsum("ij,ij->i", params.beta, params.mu)
-    )
-    return {
-        "e_mean": e_mean,
-        "e_norm": e_norm,
-        "e_coef": e_coef,
-        "e_coef_prime": e_coef_prime,
-        "e_mean_prime": e_mean_prime,
-        "e_prob": e_prob,
-    }
+    errors = _component_errors(_ModelStack.of([params]), _as_batch(estimates))
+    return {name: float(value[0]) for name, value in errors.items()}
+
+
+def _parity_gap_margin(
+    report: UnfairnessReport, estimates: ComponentEstimates, models: _ModelStack
+) -> np.ndarray:
+    """``parity_gap_margin`` of T trials as one batch."""
+    leaks = np.abs(_mean_leak(models, estimates))
+    bound = (2.0 * models.B)[:, None, None] * np.maximum(leaks[:, :, None], leaks[:, None, :])
+    s, t = np.triu_indices(leaks.shape[1], k=1)
+    return (bound - report.pairwise)[:, s, t].min(axis=1, initial=math.inf)
 
 
 def parity_gap_margin(
@@ -190,10 +205,8 @@ def parity_gap_margin(
     pairs of bound - W2 (inf when M = 1); nonnegative (up to float slack)
     means the inequality holds everywhere.
     """
-    leaks = np.abs(_mean_leak(params, estimates))
-    bound = 2.0 * params.B * np.maximum.outer(leaks, leaks)
-    upper = np.triu_indices(params.M, k=1)
-    return float((bound - report.pairwise)[upper].min(initial=math.inf))
+    batch = (_as_batch(report), _as_batch(estimates), _ModelStack.of([params]))
+    return float(_parity_gap_margin(*batch)[0])
 
 
 def undersampled(n: int, d: int, M: int, p_min: float, delta: float) -> bool:
@@ -201,44 +214,61 @@ def undersampled(n: int, d: int, M: int, p_min: float, delta: float) -> bool:
     return n < 12.0 * max(3 * d, 4.0 * math.log(M / delta)) / p_min
 
 
-def _fit_trial(
-    oracle: FairOracle, n: int, seed: int, key: tuple[int, int]
-) -> tuple[float, GroupAffineRegressor, ComponentEstimates]:
-    """One Monte Carlo trial: draw cell statistics, fit them, score the fit.
+def _batches(trials: int) -> list[range]:
+    """Trial indices 0..trials-1 cut into consecutive batches of at most ``TRIAL_BATCH``."""
+    starts = range(0, trials, TRIAL_BATCH)
+    return [range(start, min(start + TRIAL_BATCH, trials)) for start in starts]
 
-    The statistics are drawn from the seed sequence keyed by (*key, 1).
-    Returns the analytic excess risk, the regressor and its estimates.
+
+def _fit_trials(models: list[ModelParams], n: int, seed: int, keys: list[tuple]) -> tuple:
+    """Monte Carlo trials as one batch: draw cell statistics, fit them, score the fits.
+
+    Trial i draws its statistics, as ``sample_cell_stats`` does, from the
+    seed sequence keyed by (*keys[i], 1); its model is not checked again.
+    Returns the model stack, the analytic excess risks, the fitted w and b,
+    and the estimates, each with a leading trial axis.
     """
-    params = oracle.params
-    stats = sample_cell_stats(params, n, np.random.SeedSequence(seed, spawn_key=(*key, 1)))
-    regressor, estimates = fit(stats, params.d, params.M, None)
-    return analytic_excess_risk(regressor, oracle), regressor, estimates
+    stack = _ModelStack.of(models)
+    draws = [
+        _draw_cells(
+            params, n, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, 1)))
+        )
+        for params, key in zip(models, keys)
+    ]
+    w, b, estimates = _fit_cells(*_cell_stats(stack, draws))
+    _, _, oracle_w, oracle_b = _fair(stack)
+    return stack, _l2_distance(w - oracle_w, b - oracle_b, stack), w, b, estimates
 
 
-def _run_trial(config: SweepConfig, cell_idx: int, cell, trial: int) -> dict:
-    """One sweep row; its keys, in order, are the sweep CSV's columns."""
+def _run_trial(config: SweepConfig, cell_idx: int, cell, trials: range) -> dict:
+    """One sweep job: the rows of one cell's ``trials``, as columns in CSV order."""
     n, d, M = cell
-    params_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 0))
-    )
-    params = random_valid_params(
-        d, M, config.B, config.U, config.sigma_x, config.sigma_xi, params_rng
-    )
-    flag = undersampled(n, d, M, float(params.p.min()), config.delta)
+    models = [
+        random_valid_params(
+            d, M, config.B, config.U, config.sigma_x, config.sigma_xi,
+            np.random.default_rng(
+                np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 0))
+            ),
+        )
+        for trial in trials
+    ]
+    flags = [undersampled(n, d, M, float(params.p.min()), config.delta) for params in models]
+    T = len(trials)
     # Squared errors of coefficients above ~1e154 exceed the float range and read inf.
     with np.errstate(over="ignore"):
-        risk, regressor, estimates = _fit_trial(
-            build_fdp(params), n, config.seed, (cell_idx, trial)
+        stack, risk, w, b, estimates = _fit_trials(
+            models, n, config.seed, [(cell_idx, trial) for trial in trials]
         )
-        report = unfairness(regressor, params)
+        report = _unfairness(w, b, stack)
         return {
-            "n": n, "d": d, "M": M, "B": config.B, "trial": trial,
+            "n": np.full(T, n), "d": np.full(T, d), "M": np.full(T, M),
+            "B": np.full(T, config.B), "trial": np.array(trials),
             "excess_risk": risk,
             "w2_unfairness": report.w2_max,
             "kol_unfairness": report.kol_max,
-            **component_errors(params, estimates),
-            "d2_margin": parity_gap_margin(report, estimates, params),
-            "undersampled": int(flag),
+            **_component_errors(stack, estimates),
+            "d2_margin": _parity_gap_margin(report, estimates, stack),
+            "undersampled": np.array(flags, dtype=int),
         }
 
 
@@ -253,8 +283,13 @@ class SweepResult:
 
     @classmethod
     def from_records(cls, records: list[dict]) -> "SweepResult":
-        """The table of one dict per row, all with the same keys in the same order."""
-        return cls({name: np.array([r[name] for r in records]) for name in records[0]})
+        """The table of dicts with the same keys in the same order.
+
+        Each dict holds one row's values or, as arrays, a block of rows.
+        """
+        return cls(
+            {name: np.concatenate([np.atleast_1d(r[name]) for r in records]) for name in records[0]}
+        )
 
     @property
     def columns(self) -> list[str]:
@@ -293,7 +328,9 @@ class SweepResult:
 def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Execute the full sweep grid; deterministic given config and seed.
 
-    ``pool.map`` returns trials in job order, whatever the thread count.
+    A job is up to ``TRIAL_BATCH`` trials of one cell.  Jobs run in the
+    calling thread when ``threads`` is 1 (a worker thread cost such a sweep
+    about 10%), else in a pool whose ``map`` returns them in order.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -304,13 +341,16 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
         for M in config.M_grid
     ]
     jobs = [
-        (cell_idx, cell, trial)
+        (cell_idx, cell, batch)
         for cell_idx, cell in enumerate(cells)
-        for trial in range(config.trials)
+        for batch in _batches(config.trials)
     ]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        records = list(pool.map(lambda job: _run_trial(config, *job), jobs))
-    result = SweepResult.from_records(records)
+    if threads == 1:
+        blocks = [_run_trial(config, *job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(lambda job: _run_trial(config, *job), jobs))
+    result = SweepResult.from_records(blocks)
     if config.out is not None:
         result.write_csv(config.out)
     return result
@@ -383,8 +423,12 @@ def run_lower_bound_report(
             epsilon = min(epsilon, float(sep.min()))
         fano = fano_value(epsilon, code.size, kl_max)
 
-        oracle = build_fdp(family.params_of(C[0], p, sigma_x, sigma_xi))
-        risks = np.array([_fit_trial(oracle, n, seed, (n_idx, t))[0] for t in range(trials)])
+        params = family.params_of(C[0], p, sigma_x, sigma_xi)
+        _check_model(params, n)
+        risks = np.concatenate([
+            _fit_trials([params] * len(batch), n, seed, [(n_idx, t) for t in batch])[1]
+            for batch in _batches(trials)
+        ])
         records.append(
             {
                 "d": d, "M": M, "n": n, "epsilon": epsilon, "K": code.size,

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .model import GroupAffineRegressor, ModelParams, _norm, sample_dataset
+from .model import (
+    GroupAffineRegressor,
+    ModelParams,
+    _dot,
+    _ModelStack,
+    _norm,
+    _trial,
+    sample_dataset,
+)
 from .oracle import FairOracle, _std_normal_cdf
 
 # Chunk size for Monte Carlo accumulation; fixed so results are independent
@@ -34,9 +42,19 @@ class GaussianLaw1D:
             raise ParameterError(f"std must be nonnegative, got {self.std!r}")
 
 
+# math.hypot, elementwise: libm's hypot, which np.hypot calls, rounds differently
+# in ~0.2% of cases.
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _w2(mean_a, std_a, mean_b, std_b) -> np.ndarray:
+    """``w2_gaussian``, elementwise over arrays of law pairs."""
+    return np.asarray(_hypot(np.subtract(mean_a, mean_b), np.subtract(std_a, std_b)), dtype=float)
+
+
 def w2_gaussian(a: GaussianLaw1D, b: GaussianLaw1D) -> float:
     """2-Wasserstein distance between 1-D Gaussians: sqrt(dmean^2 + dstd^2)."""
-    return math.hypot(a.mean - b.mean, a.std - b.std)
+    return float(_w2(a.mean, a.std, b.mean, b.std))
 
 
 def w2_empirical(xs, ys) -> float:
@@ -63,6 +81,11 @@ def w2_empirical(xs, ys) -> float:
     return float(np.sqrt(np.sum(widths * (qx - qy) ** 2)))
 
 
+def _laws(w: np.ndarray, b: np.ndarray, models: _ModelStack) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std of f(X, S) given S = s, per trial and group, for f = (w, b)."""
+    return _dot(w, models.mu) + b, models.sigma_x[:, None] * _norm(w)
+
+
 def conditional_law(
     f: GroupAffineRegressor, params: ModelParams, s: int
 ) -> GaussianLaw1D:
@@ -71,9 +94,78 @@ def conditional_law(
         raise DimensionError("regressor shape does not match the model")
     if not 0 <= s < params.M:
         raise DimensionError(f"group index {s} out of range [0, {params.M})")
-    mean = float(f.w[s] @ params.mu[s] + f.b[s])
-    std = params.sigma_x * _norm(f.w[s])
-    return GaussianLaw1D(mean=mean, std=std)
+    means, stds = _laws(f.w[None], f.b[None], _ModelStack.of([params]))
+    return GaussianLaw1D(mean=float(means[0, s]), std=float(stds[0, s]))
+
+
+# math.log, elementwise: np.log and math.log differ in ~0.1% of last bits.
+_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _real_roots(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real roots that ``np.roots`` finds for each row (a, b, c) of a * z^2 + b * z + c.
+
+    Returns (P, 2) roots and a (P, 2) mask of the roots that exist, in
+    ``np.roots``'s order and to its bits: zero leading coefficients are
+    dropped, each zero trailing coefficient is a root 0 listed last, a
+    quadratic is solved as the eigenvalues of its companion matrix (one
+    ``eigvals`` call for every row) and a root counts as real when its
+    imaginary part is below 1e-12.
+    """
+    a, b, c = coef.T
+    roots = np.zeros((len(coef), 2))
+    real = np.zeros((len(coef), 2), dtype=bool)
+    quadratic = (a != 0.0) & (c != 0.0)
+    companion = np.zeros((int(quadratic.sum()), 2, 2))
+    companion[:, 0, 0] = -b[quadratic] / a[quadratic]
+    companion[:, 0, 1] = -c[quadratic] / a[quadratic]
+    companion[:, 1, 0] = 1.0
+    eig = np.linalg.eigvals(companion)
+    roots[quadratic] = eig.real
+    real[quadratic] = np.abs(eig.imag) < 1e-12
+    linear = (a == 0.0) & (b != 0.0) & (c != 0.0)
+    roots[linear, 0] = -c[linear] / b[linear]
+    real[linear, 0] = True
+    # c == 0: the roots of a z + b (a != 0), then as many zeros as trailing zero coefficients
+    top = (c == 0.0) & (a != 0.0)
+    roots[top & (b != 0.0), 0] = -b[top & (b != 0.0)] / a[top & (b != 0.0)]
+    real[top] = True
+    real[(c == 0.0) & (a == 0.0) & (b != 0.0), 0] = True
+    return roots, real
+
+
+def _kolmogorov(mean_a, std_a, mean_b, std_b) -> np.ndarray:
+    """``kolmogorov_gaussian``, elementwise over 1-d arrays of law pairs.
+
+    Every pair's density crossings come from one ``_real_roots`` call.
+    """
+    ma, sa, mb, sb = (np.asarray(v, dtype=float) for v in (mean_a, std_a, mean_b, std_b))
+    out = np.zeros(ma.shape)
+    point_a, point_b = sa == 0.0, sb == 0.0
+    both = point_a & point_b
+    out[both] = ma[both] != mb[both]
+    one = point_a != point_b
+    gauss_std = np.where(point_a, sb, sa)[one]
+    out[one] = _std_normal_cdf(np.abs(ma[one] - mb[one]) / gauss_std)
+    equal = (sa == sb) & ~point_a
+    out[equal] = 2.0 * _std_normal_cdf(np.abs(ma[equal] - mb[equal]) / (2.0 * sa[equal])) - 1.0
+    crossing = ~(point_a | point_b | (sa == sb))
+    # Density crossings: a scale-free quadratic in z = (t - a.mean) / a.std, under
+    # which a is N(0, 1) and b is N(m, r^2); one in raw t overflows near 1e150.
+    m = (mb[crossing] - ma[crossing]) / sa[crossing]
+    r = sb[crossing] / sa[crossing]
+    inv_r2 = 1.0 / (r * r)
+    log_r = np.asarray(_log(r), dtype=float)
+    coef = np.stack([inv_r2 - 1.0, -2.0 * m * inv_r2, m * m * inv_r2 + 2.0 * log_r], axis=-1)
+    roots, real = _real_roots(coef)
+    gap = np.zeros(roots.shape)
+    row = np.nonzero(real)[0]
+    z = roots[real]
+    gap[real] = np.abs(_std_normal_cdf(z) - _std_normal_cdf((z - m[row]) / r[row]))
+    # the larger gap over the real roots (the first on a tie or a NaN); 0 with none
+    first = np.where(real[:, 0], gap[:, 0], np.where(real[:, 1], gap[:, 1], 0.0))
+    out[crossing] = np.where(real.all(axis=1) & (gap[:, 1] > first), gap[:, 1], first)
+    return out
 
 
 def kolmogorov_gaussian(a: GaussianLaw1D, b: GaussianLaw1D) -> float:
@@ -84,29 +176,15 @@ def kolmogorov_gaussian(a: GaussianLaw1D, b: GaussianLaw1D) -> float:
     quadratic log-density difference otherwise.  Point masses (std 0) are
     handled through the CDF step.
     """
-    if a.std == 0.0 and b.std == 0.0:
-        return 0.0 if a.mean == b.mean else 1.0
-    if a.std == 0.0 or b.std == 0.0:
-        point, gauss = (a, b) if a.std == 0.0 else (b, a)
-        return _std_normal_cdf(abs(point.mean - gauss.mean) / gauss.std)
-    if a.std == b.std:
-        return 2.0 * _std_normal_cdf(abs(a.mean - b.mean) / (2.0 * a.std)) - 1.0
-    # Density crossings: a scale-free quadratic in z = (t - a.mean) / a.std, under
-    # which a is N(0, 1) and b is N(m, r^2); one in raw t overflows near 1e150.
-    m = (b.mean - a.mean) / a.std
-    r = b.std / a.std
-    inv_r2 = 1.0 / (r * r)
-    roots = np.roots(
-        [inv_r2 - 1.0, -2.0 * m * inv_r2, m * m * inv_r2 + 2.0 * math.log(r)]
-    )
-    roots = roots[np.abs(roots.imag) < 1e-12].real
-    cdf = _std_normal_cdf
-    return max((abs(cdf(z) - cdf((z - m) / r)) for z in roots), default=0.0)
+    return float(_kolmogorov([a.mean], [a.std], [b.mean], [b.std])[0])
 
 
 @dataclass(frozen=True)
 class UnfairnessReport:
-    """The three demographic-parity unfairness scores plus the pairwise W2 grid."""
+    """The three demographic-parity unfairness scores plus the pairwise W2 grid.
+
+    Inside the batch kernels every field carries a leading trial axis.
+    """
 
     w2_max: float
     kol_max: float
@@ -114,28 +192,32 @@ class UnfairnessReport:
     pairwise: np.ndarray  # (M, M) symmetric, zero diagonal
 
 
-def unfairness(f: GroupAffineRegressor, params: ModelParams) -> UnfairnessReport:
-    """Compute all three unfairness scores of f analytically under the model."""
-    laws = [conditional_law(f, params, s) for s in range(params.M)]
-    M = params.M
-    pairwise = np.zeros((M, M))
-    kol_max = 0.0
-    for s in range(M):
-        for t in range(s + 1, M):
-            pairwise[s, t] = pairwise[t, s] = w2_gaussian(laws[s], laws[t])
-            kol_max = max(kol_max, kolmogorov_gaussian(laws[s], laws[t]))
+def _unfairness(w: np.ndarray, b: np.ndarray, models: _ModelStack) -> UnfairnessReport:
+    """``unfairness`` of each trial's regressor (w, b) under its model, as one batch."""
+    means, stds = _laws(w, b, models)
+    T, M = means.shape
+    s, t = np.triu_indices(M, k=1)
+    pairwise = np.zeros((T, M, M))
+    pairwise[:, s, t] = pairwise[:, t, s] = _w2(means[:, s], stds[:, s], means[:, t], stds[:, t])
+    kol = _kolmogorov(*(a.reshape(-1) for a in (means[:, s], stds[:, s], means[:, t], stds[:, t])))
     # 1-D Gaussian W2 barycenter: probability-weighted mean and std.
-    bary = GaussianLaw1D(
-        mean=float(params.p @ [law.mean for law in laws]),
-        std=float(params.p @ [law.std for law in laws]),
-    )
-    avg_w2 = float(sum(p * w2_gaussian(law, bary) for p, law in zip(params.p, laws)))
+    bary_mean, bary_std = _dot(models.p, means), _dot(models.p, stds)
+    to_bary = models.p * _w2(means, stds, bary_mean[:, None], bary_std[:, None])
     return UnfairnessReport(
-        w2_max=float(pairwise.max()),
-        kol_max=kol_max,
-        avg_w2=avg_w2,
+        w2_max=pairwise.max(axis=(1, 2)),
+        # the largest pair from 0; a NaN pair is skipped
+        kol_max=np.fmax.reduce(kol.reshape(T, len(s)), axis=1, initial=0.0),
+        # left to right over the groups: add.reduce sums 8 or more terms pairwise
+        avg_w2=np.add.accumulate(to_bary, axis=1)[:, -1],
         pairwise=pairwise,
     )
+
+
+def unfairness(f: GroupAffineRegressor, params: ModelParams) -> UnfairnessReport:
+    """Compute all three unfairness scores of f analytically under the model."""
+    if f.d != params.d or f.M != params.M:
+        raise DimensionError("regressor shape does not match the model")
+    return _trial(_unfairness(f.w[None], f.b[None], _ModelStack.of([params])), 0)
 
 
 def mc_excess_risk(

@@ -42,21 +42,55 @@ def _frozen_array(a, name: str, dtype=float) -> np.ndarray:
     if raw is None or raw.dtype.kind not in "iuf":
         raise ParameterError(f"{name} must be a rectangular array of numbers")
     out = np.ascontiguousarray(raw, dtype=dtype)
-    if out.dtype.kind == "f" and not np.all(np.isfinite(out)):
-        raise ParameterError(f"{name} must be finite: it holds NaN or inf")
+    if out.dtype.kind == "f":
+        _check_finite(out, name)
     out.setflags(write=False)
     return out
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a 1-d v, to the bit, and finite above ~1e154.
+def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` itself, once every value is finite."""
+    if not np.all(np.isfinite(a)):
+        raise ParameterError(f"{name} must be finite: it holds NaN or inf")
+    return a
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes of a and b, one per leading index.
+
+    Each is a stacked (1 x k) @ (k x 1) matmul, which sums exactly as ``a @ b``
+    on two 1-d vectors whatever the leading shape.  A 2-d ``x @ p`` across
+    trials is one gemv and sums in another order, so a trial's bits would
+    depend on its batch; the batch kernels never take it.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``einsum("ij,ij->i")`` over the last two axes, per leading index, to the bit."""
+    return np.einsum("...ij,...ij->...i", a, b)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each vector along the last axis, to the bit, and finite above ~1e154.
 
     Scaling by a power of two is exact, and keeps the square of such a norm
     finite.
     """
-    exponent = math.frexp(np.abs(v).max())[1]
-    scaled = np.ldexp(v, -exponent)
-    return math.ldexp(math.sqrt(scaled @ scaled), exponent)
+    _, exponent = np.frexp(np.abs(v).max(axis=-1))
+    scaled = np.ldexp(v, -exponent[..., None])
+    return np.ldexp(np.sqrt(_dot(scaled, scaled)), exponent)
+
+
+def _beta_norms(beta: np.ndarray) -> np.ndarray:
+    """Row norms of each (M, d) coefficient matrix along the leading axes.
+
+    One power of two per matrix scales it: exact, and it keeps squares of
+    norms above ~1e154 finite.
+    """
+    _, exponent = np.frexp(np.abs(beta).max(axis=(-2, -1)))
+    scaled = np.ldexp(beta, -exponent[..., None, None])
+    return np.ldexp(np.linalg.norm(scaled, axis=-1), exponent[..., None])
 
 
 def to_dict(obj) -> dict:
@@ -66,6 +100,17 @@ def to_dict(obj) -> dict:
         value = getattr(obj, f.name)
         out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     return out
+
+
+def _as_batch(obj):
+    """A dataclass of one trial as a batch of one: each field gains a leading axis of length 1."""
+    return type(obj)(**{f.name: np.asarray(getattr(obj, f.name))[None] for f in fields(obj)})
+
+
+def _trial(batch, i: int):
+    """Trial i of a dataclass whose fields carry a leading trial axis; 0-d values become scalars."""
+    values = {f.name: getattr(batch, f.name)[i] for f in fields(batch)}
+    return type(batch)(**{k: v.item() if np.ndim(v) == 0 else v for k, v in values.items()})
 
 
 def from_dict(cls, obj):
@@ -102,7 +147,8 @@ def norm_diversity_factor(p: np.ndarray, norms: np.ndarray) -> float:
     squaring norms above ~1e154 would overflow.
     """
     ratios = norms / norms.max()
-    return float((p @ ratios) ** 2 * np.mean(ratios ** -2.0))
+    inverse_squares = ratios ** -2.0
+    return float((p @ ratios) ** 2 * (inverse_squares.sum() / inverse_squares.size))
 
 
 @dataclass(frozen=True)
@@ -144,9 +190,7 @@ class ModelParams:
 
     @property
     def beta_norms(self) -> np.ndarray:
-        # Scaling by a power of two is exact, and keeps squares of norms above ~1e154 finite.
-        _, exponent = np.frexp(np.abs(self.beta).max())
-        return np.ldexp(np.linalg.norm(np.ldexp(self.beta, -exponent), axis=1), exponent)
+        return _beta_norms(self.beta)
 
     def diversity_factor(self) -> float:
         """``norm_diversity_factor`` of this model; needs every ||beta_s|| > 0."""
@@ -192,7 +236,7 @@ def validate_params(params: ModelParams) -> list[str]:
             f"max-norm violated: max_s ||beta_s|| = {max_norm!r} > B = {params.B!r}"
         )
     if np.all(norms > 0.0):
-        factor = params.diversity_factor()
+        factor = norm_diversity_factor(p, norms)
         # B * B overflows to inf where B ** 2 on a float raises OverflowError
         if factor > params.B * params.B + CONSTRAINT_TOL:
             report.append(
@@ -205,6 +249,31 @@ def validate_params(params: ModelParams) -> list[str]:
             f"mean-norm violated: max_s ||mu_s|| = {max_mu!r} > U = {params.U!r}"
         )
     return report
+
+
+@dataclass(frozen=True)
+class _ModelStack:
+    """T models of one (M, d) for the batch kernels: each field gains a leading trial axis.
+
+    ``of([params])`` is a batch of one, which is how the single-trial
+    functions call the kernels.  The models are not checked again here.
+    """
+
+    beta: np.ndarray      # (T, M, d)
+    mu: np.ndarray        # (T, M, d)
+    p: np.ndarray         # (T, M)
+    sigma_x: np.ndarray   # (T,)
+    sigma_xi: np.ndarray  # (T,)
+    B: np.ndarray         # (T,)
+    norms: np.ndarray     # (T, M): each model's beta_norms
+
+    @classmethod
+    def of(cls, models: Sequence[ModelParams]) -> "_ModelStack":
+        stacked = {
+            name: np.array([getattr(m, name) for m in models])
+            for name in ("beta", "mu", "p", "sigma_x", "sigma_xi", "B")
+        }
+        return cls(**stacked, norms=_beta_norms(stacked["beta"]))
 
 
 @dataclass(frozen=True)

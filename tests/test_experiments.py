@@ -24,15 +24,20 @@ from fairlinreg import (
     analytic_excess_risk,
     build_family,
     build_fdp,
+    component_errors,
+    fit,
     fit_slope,
     gv_code,
     hard_instance_eps,
     packed_pair_kl,
     packed_pair_separation,
+    parity_gap_margin,
     random_valid_params,
     run_lower_bound_report,
     run_sweep,
+    sample_cell_stats,
     sample_dataset,
+    unfairness,
     validate_params,
 )
 from fairlinreg import cli, experiments
@@ -146,6 +151,62 @@ class TestRunSweep:
         many = run_sweep(SweepConfig(**cfg, out=str(tmp_path / "t8.csv")), threads=8)
         assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t8.csv").read_bytes()
         assert one.rows == many.rows == run_sweep(SweepConfig(**cfg), threads=3).rows
+
+    def test_prefix_stability(self):
+        # a trial's row must not depend on how many trials share its batch; at
+        # n = 30 every group is so small that all its cells draw their rows
+        cfg = dict(n_grid=(30, 4000), d_grid=(2,), M_grid=(6,), seed=23)
+        short = run_sweep(SweepConfig(**cfg, trials=3))
+        long = run_sweep(SweepConfig(**cfg, trials=experiments.TRIAL_BATCH + 6))
+        for n in (30, 4000):
+            head = long.select(n=n).rows[:3]
+            assert head == short.select(n=n).rows
+            assert [row[4] for row in head] == [0, 1, 2]
+        assert 1 in long.column("undersampled")
+
+    @staticmethod
+    def _single_trial_row(config, cell_idx, cell, trial):
+        """One sweep row from the public single-trial functions, in the sweep's stream."""
+        n, d, M = cell
+        key = np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 0))
+        params = random_valid_params(
+            d, M, config.B, config.U, config.sigma_x, config.sigma_xi, np.random.default_rng(key)
+        )
+        stats_key = np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 1))
+        regressor, estimates = fit(sample_cell_stats(params, n, stats_key), d, M, None)
+        report = unfairness(regressor, params)
+        return estimates, [
+            n, d, M, config.B, trial,
+            analytic_excess_risk(regressor, build_fdp(params)),
+            report.w2_max,
+            report.kol_max,
+            *component_errors(params, estimates).values(),
+            parity_gap_margin(report, estimates, params),
+            int(experiments.undersampled(n, d, M, float(params.p.min()), config.delta)),
+        ]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(n_grid=(16000,), d_grid=(5,), M_grid=(3,), seed=31),  # a ladder cell
+            dict(n_grid=(45,), d_grid=(2,), M_grid=(3,), seed=32),  # every gate off
+            dict(n_grid=(300,), d_grid=(2,), M_grid=(2,), seed=33, B=1e200),
+        ],
+        ids=["ladder", "gates_off", "B_1e200"],
+    )
+    def test_batch_matches_single_trial_chain(self, cfg):
+        # each row, to the bit, is what the public functions give for its trial
+        config = SweepConfig(**cfg, trials=5)
+        rows = run_sweep(config).rows
+        with np.errstate(over="ignore"):
+            estimates, expect = zip(
+                *(self._single_trial_row(config, 0, rows[0][:3], t) for t in range(5))
+            )
+        assert rows == list(expect)
+        values = np.array([row[5:] for row in rows], dtype=float)
+        assert np.isinf(values).any() == (config.B == 1e200)
+        gates = np.array([e.gate_12d for e in estimates])
+        assert not gates.any() if config.n_grid == (45,) else gates.all()
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_nonpositive_threads_rejected(self, threads):

@@ -1,5 +1,7 @@
 """Tests for Wasserstein/Kolmogorov metrics and Monte Carlo excess risk."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -19,6 +21,8 @@ from fairlinreg import (
     w2_empirical,
     w2_gaussian,
 )
+from fairlinreg.metrics import _kolmogorov, _real_roots
+from fairlinreg.oracle import _std_normal_cdf
 
 
 class TestW2Gaussian:
@@ -142,6 +146,77 @@ class TestKolmogorov:
         assert kolmogorov_gaussian(a, b) == pytest.approx(
             2 * norm.cdf(0.35) - 1, rel=1e-12
         )
+
+
+def _kolmogorov_per_pair(a, b):
+    """Reference: the crossing quadratic solved by one np.roots call per pair."""
+    if a.std == 0.0 and b.std == 0.0:
+        return 0.0 if a.mean == b.mean else 1.0
+    if a.std == 0.0 or b.std == 0.0:
+        point, gauss = (a, b) if a.std == 0.0 else (b, a)
+        return float(_std_normal_cdf(abs(point.mean - gauss.mean) / gauss.std))
+    if a.std == b.std:
+        return float(2.0 * _std_normal_cdf(abs(a.mean - b.mean) / (2.0 * a.std)) - 1.0)
+    m = (b.mean - a.mean) / a.std
+    r = b.std / a.std
+    inv_r2 = 1.0 / (r * r)
+    roots = np.roots([inv_r2 - 1.0, -2.0 * m * inv_r2, m * m * inv_r2 + 2.0 * math.log(r)])
+    roots = roots[np.abs(roots.imag) < 1e-12].real
+    cdf = _std_normal_cdf
+    return max((float(abs(cdf(z) - cdf((z - m) / r))) for z in roots), default=0.0)
+
+
+class TestKolmogorovBatch:
+    @staticmethod
+    def edge_cases():
+        up = lambda x: float(np.nextafter(x, np.inf))  # noqa: E731
+        pairs = [
+            ((0.0, 0.0), (0.0, 0.0)),  # two point masses, equal means
+            ((0.0, 0.0), (1.0, 0.0)),  # two point masses, different means
+            ((1.0, 0.0), (0.0, 2.0)),  # one point mass
+            ((0.0, 3.0), (-2.0, 0.0)),
+            ((0.0, 1.0), (1.5, 1.0)),  # equal stds
+            ((0.2, 1.0), (0.2, 1.0)),
+            ((0.0, 1.0), (0.5, 2.0)),  # the general case
+            ((-1.0, 0.7), (2.0, 0.3)),
+            ((0.5, 2.0), (0.5, 1.0)),
+        ]
+        for scale in (1e-160, 1.0, 1e150, 1e300):  # stds one ulp apart
+            pairs.append(((0.3 * scale, scale), (-0.4 * scale, up(scale))))
+            pairs.append(((0.3 * scale, up(scale)), (0.3 * scale, scale)))
+        return [(GaussianLaw1D(*a), GaussianLaw1D(*b)) for a, b in pairs]
+
+    @pytest.mark.filterwarnings("error")
+    def test_batch_equals_single_calls(self):
+        pairs = self.edge_cases()
+        a, b = zip(*pairs)
+        columns = [[getattr(law, f) for law in laws] for laws in (a, b) for f in ("mean", "std")]
+        batch = _kolmogorov(*columns)
+        assert batch.tolist() == [kolmogorov_gaussian(a, b) for a, b in pairs]
+
+    @pytest.mark.filterwarnings("error")
+    def test_equals_per_pair_np_roots(self):
+        rng = np.random.default_rng(17)
+        pairs = self.edge_cases() + [
+            (GaussianLaw1D(*rng.normal(0, 2, 1), *rng.uniform(0.1, 3, 1)),
+             GaussianLaw1D(*rng.normal(0, 2, 1), *rng.uniform(0.1, 3, 1)))
+            for _ in range(300)
+        ]
+        for a, b in pairs:
+            assert kolmogorov_gaussian(a, b) == _kolmogorov_per_pair(a, b)
+
+    def test_real_roots_match_np_roots(self):
+        # every pattern of zero coefficients, complex pairs and a double root
+        rows = [
+            [1.0, -3.0, 2.0], [1.0, 0.0, 1.0], [1.0, 2.0, 1.0], [-2.5, 0.0, 3.0],
+            [0.0, 2.0, 3.0], [2.0, 3.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+            [0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1e-20, -2.0, 1e10], [3e-16, -1.0, 0.25],
+        ]
+        roots, real = _real_roots(np.array(rows))
+        for row, z, keep in zip(rows, roots, real):
+            expect = np.roots(row)
+            expect = expect[np.abs(expect.imag) < 1e-12].real
+            assert z[keep].tolist() == expect.tolist()
 
 
 class TestUnfairness:
