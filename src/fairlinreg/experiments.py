@@ -328,9 +328,8 @@ class SweepResult:
 def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Execute the full sweep grid; deterministic given config and seed.
 
-    A job is up to ``TRIAL_BATCH`` trials of one cell.  Jobs run in the
-    calling thread when ``threads`` is 1 (a worker thread cost such a sweep
-    about 10%), else in a pool whose ``map`` returns them in order.
+    A job is up to ``TRIAL_BATCH`` trials of one cell; a pool of ``threads``
+    workers runs the jobs and its ``map`` returns them in order.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -345,11 +344,8 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
         for cell_idx, cell in enumerate(cells)
         for batch in _batches(config.trials)
     ]
-    if threads == 1:
-        blocks = [_run_trial(config, *job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(lambda job: _run_trial(config, *job), jobs))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        blocks = list(pool.map(lambda job: _run_trial(config, *job), jobs))
     result = SweepResult.from_records(blocks)
     if config.out is not None:
         result.write_csv(config.out)

@@ -105,17 +105,17 @@ _log = np.frompyfunc(math.log, 1, 1)
 def _real_roots(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The real roots that ``np.roots`` finds for each row (a, b, c) of a * z^2 + b * z + c.
 
-    Returns (P, 2) roots and a (P, 2) mask of the roots that exist, in
-    ``np.roots``'s order and to its bits: zero leading coefficients are
-    dropped, each zero trailing coefficient is a root 0 listed last, a
+    Every a is nonzero: ``_kolmogorov`` passes a = 1/r^2 - 1 for a std ratio
+    r != 1, which never rounds to 0.  Returns (P, 2) roots and a (P, 2) mask
+    of the roots that exist, in ``np.roots``'s order and to its bits: a
     quadratic is solved as the eigenvalues of its companion matrix (one
-    ``eigvals`` call for every row) and a root counts as real when its
-    imaginary part is below 1e-12.
+    ``eigvals`` call for every row), a root counts as real when its imaginary
+    part is below 1e-12, and a zero c is a root 0 listed last.
     """
     a, b, c = coef.T
     roots = np.zeros((len(coef), 2))
     real = np.zeros((len(coef), 2), dtype=bool)
-    quadratic = (a != 0.0) & (c != 0.0)
+    quadratic = c != 0.0
     companion = np.zeros((int(quadratic.sum()), 2, 2))
     companion[:, 0, 0] = -b[quadratic] / a[quadratic]
     companion[:, 0, 1] = -c[quadratic] / a[quadratic]
@@ -123,14 +123,10 @@ def _real_roots(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eig = np.linalg.eigvals(companion)
     roots[quadratic] = eig.real
     real[quadratic] = np.abs(eig.imag) < 1e-12
-    linear = (a == 0.0) & (b != 0.0) & (c != 0.0)
-    roots[linear, 0] = -c[linear] / b[linear]
-    real[linear, 0] = True
-    # c == 0: the roots of a z + b (a != 0), then as many zeros as trailing zero coefficients
-    top = (c == 0.0) & (a != 0.0)
-    roots[top & (b != 0.0), 0] = -b[top & (b != 0.0)] / a[top & (b != 0.0)]
-    real[top] = True
-    real[(c == 0.0) & (a == 0.0) & (b != 0.0), 0] = True
+    # c == 0: the root of a z + b if b != 0, then one zero per trailing zero coefficient
+    linear = ~quadratic & (b != 0.0)
+    roots[linear, 0] = -b[linear] / a[linear]
+    real[~quadratic] = True
     return roots, real
 
 
