@@ -25,12 +25,11 @@ from .estimator import ComponentEstimates, _cell_stats, _check_model, _draw_cell
 from .estimator import fit  # noqa: F401  unused here; perfbench's tracer test patches this alias
 from .lower_bound import (
     _packing_B_s,
+    _worst_pairs,
     build_family,
     fano_value,
     gv_code,
     hard_instance_eps,
-    packed_pair_kl,
-    packed_pair_separation,
 )
 from .metrics import UnfairnessReport, _unfairness
 from .model import (
@@ -404,22 +403,17 @@ def run_lower_bound_report(
         )
     min_dist = max((d - 1) // 8, 1)
     code = gv_code(d - 1, M, min_dist, code_budget, seed)
-    C = code.codewords
+    n_counts = [np.round(n * p) for n in n_grid]
+    families = [
+        build_family(d, M, B_s, hard_instance_eps(d, M, sigma_xi, sigma_x, B_s, counts))
+        for counts in n_counts
+    ]
+    kl_max, epsilon = _worst_pairs(code, families, n_counts, p, sigma_x, sigma_xi)
     records = []
-    for n_idx, n in enumerate(n_grid):
-        n_counts = np.round(n * p)
-        eps = hard_instance_eps(d, M, sigma_xi, sigma_x, B_s, n_counts)
-        family = build_family(d, M, B_s, eps)
-        kl_max = 0.0
-        epsilon = math.inf
-        for i in range(code.size - 1):  # row against later rows: O(K M d) memory
-            kl = packed_pair_kl(family, C[i], C[i + 1:], n_counts, sigma_x, sigma_xi)
-            sep = packed_pair_separation(family, C[i], C[i + 1:], p, sigma_x)
-            kl_max = max(kl_max, float(kl.max()))
-            epsilon = min(epsilon, float(sep.min()))
-        fano = fano_value(epsilon, code.size, kl_max)
+    for n_idx, (n, family) in enumerate(zip(n_grid, families)):
+        fano = fano_value(epsilon[n_idx], code.size, kl_max[n_idx])
 
-        params = family.params_of(C[0], p, sigma_x, sigma_xi)
+        params = family.params_of(code.codewords[0], p, sigma_x, sigma_xi)
         _check_model(params, n)
         risks = np.concatenate([
             _fit_trials([params] * len(batch), n, seed, [(n_idx, t) for t in batch])[1]
@@ -427,8 +421,8 @@ def run_lower_bound_report(
         ])
         records.append(
             {
-                "d": d, "M": M, "n": n, "epsilon": epsilon, "K": code.size,
-                "kl": kl_max, "fano_value": fano,
+                "d": d, "M": M, "n": n, "epsilon": epsilon[n_idx], "K": code.size,
+                "kl": kl_max[n_idx], "fano_value": fano,
                 "est_risk_mean": float(risks.mean()),
                 "est_risk_se": float(risks.std(ddof=1) / math.sqrt(trials)),
             }

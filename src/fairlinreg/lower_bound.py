@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .model import ModelParams, _frozen_array, norm_diversity_factor
+from .model import ModelParams, _frozen_array, _is_int, norm_diversity_factor
 from .oracle import build_fdp
 
 
@@ -111,23 +111,51 @@ def gv_code(
     distance to every accepted codeword is >= min_dist in every block.
     The achieved set size depends on the budget; it is reported, never
     asserted against an existential bound.
+
+    All ``budget`` candidates are drawn at once (the same draws, in the same
+    order, as one at a time) and the greedy runs as an elimination pass:
+    accepting the first surviving candidate removes every later one too
+    close to it, so the pass takes one step per accepted codeword.
     """
     if block_length < 1:
         raise ParameterError(f"block length must be >= 1, got {block_length}")
+    if not _is_int(budget) or budget < 0:
+        raise ParameterError(f"budget must be an integer >= 0, got {budget!r}")
     rng = np.random.default_rng(seed)
-    accepted = np.empty((0, blocks, block_length), dtype=np.int8)
-    achieved = block_length  # max possible per-block distance
-    for _ in range(budget):
-        cand = rng.choice((-1, 1), size=(blocks, block_length)).astype(np.int8)
-        dists = block_hamming(accepted, cand)  # (accepted so far, blocks)
+    draws = rng.choice((-1, 1), size=(budget, blocks, block_length)).astype(np.int8)
+    signs = _block_signs(draws)  # (blocks, surviving candidates, block_length)
+    live = np.arange(budget)
+    # per survivor: its least block distance to the codewords accepted so far
+    closest = np.full(budget, float(block_length))
+    accepted = []
+    achieved = float(block_length)  # max possible per-block distance
+    while live.size:
+        accepted.append(live[0])
+        achieved = min(achieved, closest[0])
+        dists = _block_hamming_from_signs(signs[:, 1:], signs[:, :1])[..., 0]
         if min_dist >= 1:
-            ok = (dists >= min_dist).all()
+            ok = (dists >= min_dist).all(axis=0)
         else:
-            ok = dists.any(axis=1).all()  # reject only duplicates
-        if ok:
-            achieved = int(dists.min(initial=achieved))
-            accepted = np.concatenate((accepted, cand[None]))
-    return CodeSet(codewords=accepted, min_block_distance=achieved)
+            ok = dists.any(axis=0)  # reject only duplicates
+        closest = np.minimum(closest[1:], dists.min(axis=0, initial=block_length))[ok]
+        live = live[1:][ok]
+        signs = signs[:, 1:][:, ok]
+    return CodeSet(codewords=draws[accepted], min_block_distance=int(achieved))
+
+
+def _block_signs(codewords: np.ndarray) -> np.ndarray:
+    """(K, blocks, L) sign matrices as a (blocks, K, L) float array for Gram products."""
+    return np.ascontiguousarray(codewords.transpose(1, 0, 2), dtype=float)
+
+
+def _block_hamming_from_signs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(blocks, R, C) per-block Hamming distances of two (blocks, ., L) sign stacks.
+
+    Two +-1 rows of length L that agree in a places have dot product
+    a - (L - a), so their Hamming distance is (L - dot) / 2; the dot
+    products are small integers and exact in float.
+    """
+    return (rows.shape[-1] - rows @ cols.transpose(0, 2, 1)) / 2.0
 
 
 def _check_shared(theta: ModelParams, theta_prime: ModelParams) -> None:
@@ -210,8 +238,14 @@ def packed_pair_kl(
     sigma_xi: float,
 ) -> np.ndarray:
     """Closed-form KL of packed pairs (mu = 0), broadcast over leading axes."""
+    return _kl_of_distance(family, block_hamming(v, v_prime), n_counts, sigma_x, sigma_xi)
+
+
+def _kl_of_distance(
+    family: PackedFamily, d_h: np.ndarray, n_counts, sigma_x: float, sigma_xi: float
+) -> np.ndarray:
+    """Packed-pair KL from per-block Hamming distances d_h (..., M)."""
     n_counts = np.asarray(n_counts, dtype=float)
-    d_h = block_hamming(v, v_prime)
     per = (
         2.0
         * sigma_x ** 2
@@ -232,11 +266,55 @@ def packed_pair_separation(
     Equals one quarter of the exact L2 distance between the members' fair
     regressors — the value of the two-point lower bound at mu = 0.
     """
+    return _separation_of_distance(family, block_hamming(v, v_prime), p, sigma_x)
+
+
+def _separation_of_distance(
+    family: PackedFamily, d_h: np.ndarray, p, sigma_x: float
+) -> np.ndarray:
+    """Packed-pair separation from per-block Hamming distances d_h (..., M)."""
     p = np.asarray(p, dtype=float)
     bar = float(p @ family.B_s)
-    d_h = block_hamming(v, v_prime)
     per = p * bar ** 2 * sigma_x ** 2 * family.eps_s ** 2 * d_h / (family.d - 1)
     return per.sum(axis=-1)
+
+
+# Pairs per step of the code's pair reduction: bounds its working memory
+# (about _PAIR_CHUNK * M * 8 bytes per array) whatever the code size.
+_PAIR_CHUNK = 8192
+
+
+def _worst_pairs(
+    code: CodeSet, families: list, n_counts: list, p, sigma_x: float, sigma_xi: float
+) -> tuple[list[float], list[float]]:
+    """Each family's largest pairwise KL and smallest pairwise separation over a code.
+
+    families[k] with n_counts[k] is scored on every pair i < j of codewords.
+    A pair's per-block Hamming distances do not depend on the family, so
+    they are computed once, from per-block Gram products, in row chunks of
+    at most _PAIR_CHUNK pairs, and every family is folded in chunk by chunk.
+    Each pair's (M,) terms stay a contiguous last axis, so its sum, and
+    every value, is the same as ``packed_pair_kl``/``packed_pair_separation``
+    give for that pair.  A code of fewer than 2 codewords gives 0 and inf.
+    """
+    K = code.size
+    signs = _block_signs(code.codewords)
+    kl_max = [0.0] * len(families)
+    eps_min = [math.inf] * len(families)
+    start = 0
+    while start < K - 1:
+        stop = min(start + max(_PAIR_CHUNK // (K - 1 - start), 1), K - 1)
+        # rows start..stop-1 against columns start+1..K-1; keep column j > row i
+        d_h = _block_hamming_from_signs(signs[:, start:stop], signs[:, start + 1:])
+        upper = np.triu(np.ones(d_h.shape[1:], dtype=bool))
+        d_h = np.ascontiguousarray(d_h.transpose(1, 2, 0)[upper])  # (pairs, M)
+        for k, (family, counts) in enumerate(zip(families, n_counts)):
+            kl = _kl_of_distance(family, d_h, counts, sigma_x, sigma_xi)
+            sep = _separation_of_distance(family, d_h, p, sigma_x)
+            kl_max[k] = max(kl_max[k], float(kl.max()))
+            eps_min[k] = min(eps_min[k], float(sep.min()))
+        start = stop
+    return kl_max, eps_min
 
 
 @dataclass(frozen=True)

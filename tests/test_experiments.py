@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from fairlinreg import (
 )
 from fairlinreg import cli, experiments
 from fairlinreg.cli import main
+from fairlinreg.lower_bound import _PAIR_CHUNK
 from fairlinreg.model import GroupAffineRegressor, norm_diversity_factor
 
 
@@ -328,28 +330,50 @@ class TestLowerBoundReport:
 
     def test_pair_reduction_matches_per_pair_loop(self):
         # reference: the explicit loop over every codeword pair
-        d, M, n_grid, budget, seed = 9, 4, [1000, 4000], 200, 3
-        result = run_lower_bound_report(
-            d, M, n_grid, 1.0, 1.2, 0.8, seed=seed, trials=2, code_budget=budget
-        )
-        code = gv_code(d - 1, M, 1, budget, seed)
-        assert np.all(result.column("K") == code.size)
-        p = np.full(M, 1.0 / M)
-        pairs = [
-            (code.codewords[i], code.codewords[j])
-            for i in range(code.size)
-            for j in range(i + 1, code.size)
-        ]
-        for n, kl, eps in zip(n_grid, result.column("kl"), result.column("epsilon")):
-            n_counts = np.round(n * p)
-            radii = hard_instance_eps(d, M, 0.8, 1.2, 1.0, n_counts)
-            family = build_family(d, M, 1.0, radii)
-            assert kl == max(
-                packed_pair_kl(family, v, w, n_counts, 1.2, 0.8) for v, w in pairs
+        n_grid, budget, seed = [1000, 4000], 200, 3
+        for d, M in [
+            (9, 4),
+            (3, 9),   # M >= 8: each pair's M terms are summed pairwise
+            (17, 8),  # min_dist 2, and more pairs than one chunk holds
+        ]:
+            result = run_lower_bound_report(
+                d, M, n_grid, 1.0, 1.2, 0.8, seed=seed, trials=2, code_budget=budget
             )
-            assert eps == min(
-                packed_pair_separation(family, v, w, p, 1.2) for v, w in pairs
+            code = gv_code(d - 1, M, max((d - 1) // 8, 1), budget, seed)
+            assert np.all(result.column("K") == code.size)
+            if d == 17:
+                assert code.size * (code.size - 1) // 2 > _PAIR_CHUNK
+            p = np.full(M, 1.0 / M)
+            pairs = [
+                (code.codewords[i], code.codewords[j])
+                for i in range(code.size)
+                for j in range(i + 1, code.size)
+            ]
+            for n, kl, eps in zip(n_grid, result.column("kl"), result.column("epsilon")):
+                n_counts = np.round(n * p)
+                radii = hard_instance_eps(d, M, 0.8, 1.2, 1.0, n_counts)
+                family = build_family(d, M, 1.0, radii)
+                assert kl == max(
+                    packed_pair_kl(family, v, w, n_counts, 1.2, 0.8) for v, w in pairs
+                )
+                assert eps == min(
+                    packed_pair_separation(family, v, w, p, 1.2) for v, w in pairs
+                )
+
+    def test_pair_reduction_memory_is_bounded(self):
+        # K ~ 800 codewords give ~3.2e5 pairs; all of them at once as an
+        # (pairs, M) float array would alone take ~13 MB
+        run_lower_bound_report(9, 4, [1000], 1.0, 1.0, 1.0, seed=0, trials=2, code_budget=20)
+        tracemalloc.start()
+        try:
+            result = run_lower_bound_report(
+                33, 5, [3000, 30000], 1.0, 1.0, 1.0, seed=9, trials=3, code_budget=800
             )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.rows[0][result.columns.index("K")] > 700
+        assert peak < 8e6
 
     def test_single_trial_rejected(self):
         # one trial has no standard error

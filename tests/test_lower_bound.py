@@ -98,6 +98,58 @@ class TestGvCode:
         assert code.min_block_distance == closest
 
 
+    @pytest.mark.parametrize(
+        "block_length, blocks, min_dist, budget",
+        [
+            (2, 1, 0, 500),    # min_dist 0: duplicates only
+            (3, 2, 0, 40),
+            (4, 3, 5, 50),     # min_dist > block_length: one codeword
+            (8, 4, 1, 0),      # budget 0
+            (8, 4, 1, 1),      # budget 1
+            (1, 6, 1, 300),    # block length 1
+            (64, 2, 24, 200),  # block length >= 64
+            (70, 3, 30, 150),
+            (8, 4, 1, 2000),
+            (16, 8, 2, 300),
+        ],
+    )
+    def test_equals_sequential_greedy(self, block_length, blocks, min_dist, budget):
+        def sequential(seed):
+            # reference: one candidate per step, checked against every accepted codeword
+            rng = np.random.default_rng(seed)
+            accepted = np.empty((0, blocks, block_length), dtype=np.int8)
+            achieved = block_length
+            for _ in range(budget):
+                cand = rng.choice((-1, 1), size=(blocks, block_length)).astype(np.int8)
+                dists = block_hamming(accepted, cand)
+                if min_dist >= 1:
+                    ok = (dists >= min_dist).all()
+                else:
+                    ok = dists.any(axis=1).all()
+                if ok:
+                    achieved = int(dists.min(initial=achieved))
+                    accepted = np.concatenate((accepted, cand[None]))
+            return accepted, achieved
+
+        for seed in (0, 1, 17):
+            code = gv_code(block_length, blocks, min_dist, budget, seed)
+            codewords, achieved = sequential(seed)
+            assert code.codewords.dtype == codewords.dtype
+            assert code.codewords.shape == codewords.shape
+            assert code.codewords.tobytes() == codewords.tobytes()
+            assert type(code.min_block_distance) is int
+            assert code.min_block_distance == achieved
+
+    @pytest.mark.parametrize("budget", [-5, -1, 2.5, 3.0, "10", None, True])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ParameterError):
+            gv_code(block_length=8, blocks=2, min_dist=1, budget=budget, seed=0)
+
+    def test_numpy_integer_budget(self):
+        code = gv_code(block_length=8, blocks=2, min_dist=1, budget=np.int64(30), seed=0)
+        assert code.codewords.tobytes() == gv_code(8, 2, 1, 30, 0).codewords.tobytes()
+
+
 class TestBroadcastPairs:
     """A codeword against a stack of later ones equals the per-pair calls."""
 
