@@ -186,12 +186,11 @@ def kl_conditional(
         raise ParameterError("kl_conditional requires sigma_xi > 0")
     dmu = theta.mu - theta_prime.mu
     dbeta = theta.beta - theta_prime.beta
+    sx2, sxi2 = np.square(theta.sigma_x), np.square(theta.sigma_xi)
     per = (
-        np.einsum("ij,ij->i", dmu, dmu) / (2.0 * theta.sigma_x ** 2)
-        + theta.sigma_x ** 2
-        * np.einsum("ij,ij->i", dbeta, dbeta)
-        / (2.0 * theta.sigma_xi ** 2)
-        + np.einsum("ij,ij->i", theta.mu, dbeta) ** 2 / (2.0 * theta.sigma_xi ** 2)
+        np.einsum("ij,ij->i", dmu, dmu) / (2.0 * sx2)
+        + sx2 * np.einsum("ij,ij->i", dbeta, dbeta) / (2.0 * sxi2)
+        + np.einsum("ij,ij->i", theta.mu, dbeta) ** 2 / (2.0 * sxi2)
     )
     return float(n_counts @ per)
 
@@ -211,6 +210,7 @@ def kl_conditional_sample(
     _check_shared(theta, theta_prime)
     n_counts = np.asarray(n_counts, dtype=float)
     rng = np.random.default_rng(seed)
+    sx2, sxi2 = np.square(theta.sigma_x), np.square(theta.sigma_xi)
     total = np.zeros(n_mc)
     for s in range(theta.M):
         x = theta.mu[s] + theta.sigma_x * rng.standard_normal((n_mc, theta.d))
@@ -219,10 +219,10 @@ def kl_conditional_sample(
         llr_x = (
             np.einsum("ij,ij->i", x - theta_prime.mu[s], x - theta_prime.mu[s])
             - np.einsum("ij,ij->i", x - theta.mu[s], x - theta.mu[s])
-        ) / (2.0 * theta.sigma_x ** 2)
+        ) / (2.0 * sx2)
         llr_y = (
             (y - x @ theta_prime.beta[s]) ** 2 - (y - x @ theta.beta[s]) ** 2
-        ) / (2.0 * theta.sigma_xi ** 2)
+        ) / (2.0 * sxi2)
         total += n_counts[s] * (llr_x + llr_y)
     est = float(total.mean())
     se = float(total.std(ddof=1) / math.sqrt(n_mc))
@@ -248,12 +248,12 @@ def _kl_of_distance(
     n_counts = np.asarray(n_counts, dtype=float)
     per = (
         2.0
-        * sigma_x ** 2
+        * np.square(sigma_x)
         * family.B_s ** 2
         * n_counts
         * family.eps_s ** 2
         * d_h
-        / (sigma_xi ** 2 * (family.d - 1))
+        / (np.square(sigma_xi) * (family.d - 1))
     )
     return per.sum(axis=-1)
 
@@ -275,7 +275,7 @@ def _separation_of_distance(
     """Packed-pair separation from per-block Hamming distances d_h (..., M)."""
     p = np.asarray(p, dtype=float)
     bar = float(p @ family.B_s)
-    per = p * bar ** 2 * sigma_x ** 2 * family.eps_s ** 2 * d_h / (family.d - 1)
+    per = p * bar ** 2 * np.square(sigma_x) * family.eps_s ** 2 * d_h / (family.d - 1)
     return per.sum(axis=-1)
 
 
@@ -338,7 +338,7 @@ def two_point_bound(theta: ModelParams, theta_prime: ModelParams) -> TwoPointBou
     _check_shared(theta, theta_prime)
     u = build_fdp(theta).fdp.w
     u_prime = build_fdp(theta_prime).fdp.w
-    sx2 = theta.sigma_x ** 2
+    sx2 = np.square(theta.sigma_x)
     d = theta.d
 
     dmu = theta.mu - theta_prime.mu
@@ -402,14 +402,18 @@ def hard_instance_eps(
     """
     B_s = _packing_B_s(d, M, B_s)
     n_counts = np.broadcast_to(np.asarray(n_counts, dtype=float), (M,))
-    with np.errstate(over="ignore"):  # an overflowed denominator gives 0, rejected below
+    # an overflowed square gives a radius of 0, inf or NaN, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
         eps_sq = (
             ((d - 1) / 16.0 - 1.0 / M)
-            * sigma_xi ** 2
-            / (2.0 * sigma_x ** 2 * B_s ** 2 * n_counts)
+            * np.square(sigma_xi)
+            / (2.0 * np.square(sigma_x) * B_s ** 2 * n_counts)
         )
-    if np.any(eps_sq <= 0.0):
-        raise ParameterError("packing radius is 0: sigma_xi = 0 or sigma_x B_s n overflows")
+    if not np.all(np.isfinite(eps_sq) & (eps_sq > 0.0)):
+        raise ParameterError(
+            "packing radius is 0 or not finite: sigma_xi = 0, or sigma_xi or sigma_x B_s n "
+            "is too large to square"
+        )
     eps = np.sqrt(eps_sq)
     if np.any(eps > 1.0):
         warnings.warn(

@@ -42,14 +42,9 @@ class GaussianLaw1D:
             raise ParameterError(f"std must be nonnegative, got {self.std!r}")
 
 
-# math.hypot, elementwise: libm's hypot, which np.hypot calls, rounds differently
-# in ~0.2% of cases.
-_hypot = np.frompyfunc(math.hypot, 2, 1)
-
-
 def _w2(mean_a, std_a, mean_b, std_b) -> np.ndarray:
     """``w2_gaussian``, elementwise over arrays of law pairs."""
-    return np.asarray(_hypot(np.subtract(mean_a, mean_b), np.subtract(std_a, std_b)), dtype=float)
+    return np.hypot(np.subtract(mean_a, mean_b), np.subtract(std_a, std_b))
 
 
 def w2_gaussian(a: GaussianLaw1D, b: GaussianLaw1D) -> float:
@@ -98,43 +93,8 @@ def conditional_law(
     return GaussianLaw1D(mean=float(means[0, s]), std=float(stds[0, s]))
 
 
-# math.log, elementwise: np.log and math.log differ in ~0.1% of last bits.
-_log = np.frompyfunc(math.log, 1, 1)
-
-
-def _real_roots(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The real roots that ``np.roots`` finds for each row (a, b, c) of a * z^2 + b * z + c.
-
-    Every a is nonzero: ``_kolmogorov`` passes a = 1/r^2 - 1 for a std ratio
-    r != 1, which never rounds to 0.  Returns (P, 2) roots and a (P, 2) mask
-    of the roots that exist, in ``np.roots``'s order and to its bits: a
-    quadratic is solved as the eigenvalues of its companion matrix (one
-    ``eigvals`` call for every row), a root counts as real when its imaginary
-    part is below 1e-12, and a zero c is a root 0 listed last.
-    """
-    a, b, c = coef.T
-    roots = np.zeros((len(coef), 2))
-    real = np.zeros((len(coef), 2), dtype=bool)
-    quadratic = c != 0.0
-    companion = np.zeros((int(quadratic.sum()), 2, 2))
-    companion[:, 0, 0] = -b[quadratic] / a[quadratic]
-    companion[:, 0, 1] = -c[quadratic] / a[quadratic]
-    companion[:, 1, 0] = 1.0
-    eig = np.linalg.eigvals(companion)
-    roots[quadratic] = eig.real
-    real[quadratic] = np.abs(eig.imag) < 1e-12
-    # c == 0: the root of a z + b if b != 0, then one zero per trailing zero coefficient
-    linear = ~quadratic & (b != 0.0)
-    roots[linear, 0] = -b[linear] / a[linear]
-    real[~quadratic] = True
-    return roots, real
-
-
 def _kolmogorov(mean_a, std_a, mean_b, std_b) -> np.ndarray:
-    """``kolmogorov_gaussian``, elementwise over 1-d arrays of law pairs.
-
-    Every pair's density crossings come from one ``_real_roots`` call.
-    """
+    """``kolmogorov_gaussian``, elementwise over 1-d arrays of law pairs."""
     ma, sa, mb, sb = (np.asarray(v, dtype=float) for v in (mean_a, std_a, mean_b, std_b))
     out = np.zeros(ma.shape)
     point_a, point_b = sa == 0.0, sb == 0.0
@@ -146,21 +106,22 @@ def _kolmogorov(mean_a, std_a, mean_b, std_b) -> np.ndarray:
     equal = (sa == sb) & ~point_a
     out[equal] = 2.0 * _std_normal_cdf(np.abs(ma[equal] - mb[equal]) / (2.0 * sa[equal])) - 1.0
     crossing = ~(point_a | point_b | (sa == sb))
-    # Density crossings: a scale-free quadratic in z = (t - a.mean) / a.std, under
-    # which a is N(0, 1) and b is N(m, r^2); one in raw t overflows near 1e150.
-    m = (mb[crossing] - ma[crossing]) / sa[crossing]
-    r = sb[crossing] / sa[crossing]
-    inv_r2 = 1.0 / (r * r)
-    log_r = np.asarray(_log(r), dtype=float)
-    coef = np.stack([inv_r2 - 1.0, -2.0 * m * inv_r2, m * m * inv_r2 + 2.0 * log_r], axis=-1)
-    roots, real = _real_roots(coef)
-    gap = np.zeros(roots.shape)
-    row = np.nonzero(real)[0]
-    z = roots[real]
-    gap[real] = np.abs(_std_normal_cdf(z) - _std_normal_cdf((z - m[row]) / r[row]))
-    # the larger gap over the real roots (the first on a tie or a NaN); 0 with none
-    first = np.where(real[:, 0], gap[:, 0], np.where(real[:, 1], gap[:, 1], 0.0))
-    out[crossing] = np.where(real.all(axis=1) & (gap[:, 1] > first), gap[:, 1], first)
+    # Density crossings in units of the wider law: a swap and a reflection leave the
+    # distance as it is, so take that law as N(0, 1) and the other as N(m, r^2) with
+    # m >= 0 and r < 1.  The crossings z solve (1 - r^2) z^2 - 2 m z + m^2 + 2 r^2 log r
+    # = 0, whose discriminant / 4 is r^2 s^2 with s^2 = m^2 - 2 (1 - r^2) log r >= 0.
+    # The narrow law's argument u = (z - m) / r comes from s, not from z, so it keeps
+    # the offset r s even where m is far larger; no step squares m or 1 / r.
+    wide = np.maximum(sa, sb)[crossing]
+    m = np.abs(ma[crossing] - mb[crossing]) / wide
+    r = np.minimum(sa, sb)[crossing] / wide
+    one_r2, log_r = (1.0 - r) * (1.0 + r), np.log(r)
+    s = np.hypot(m, np.sqrt(-2.0 * one_r2 * log_r))
+    q, p = m + r * s, s + m * r
+    z = np.stack([q / one_r2, m * (m / q) + 2.0 * r * r * log_r / q])
+    u = np.stack([p / one_r2, 2.0 * log_r / p - m * (m / p)])
+    gaps = np.abs(_std_normal_cdf(z) - _std_normal_cdf(u))
+    out[crossing] = gaps.max(axis=0)
     return out
 
 
@@ -168,8 +129,8 @@ def kolmogorov_gaussian(a: GaussianLaw1D, b: GaussianLaw1D) -> float:
     """Sup-norm distance between two Gaussian CDFs, in closed form.
 
     The supremum of |F_a - F_b| is attained where the densities cross:
-    at the mean midpoint for equal stds, at the (at most two) roots of the
-    quadratic log-density difference otherwise.  Point masses (std 0) are
+    at the mean midpoint for equal stds, otherwise at the two density
+    crossings, real whenever the stds differ.  Point masses (std 0) are
     handled through the CDF step.
     """
     return float(_kolmogorov([a.mean], [a.std], [b.mean], [b.std])[0])
@@ -203,8 +164,7 @@ def _unfairness(w: np.ndarray, b: np.ndarray, models: _ModelStack) -> Unfairness
         w2_max=pairwise.max(axis=(1, 2)),
         # the largest pair from 0; a NaN pair is skipped
         kol_max=np.fmax.reduce(kol.reshape(T, len(s)), axis=1, initial=0.0),
-        # left to right over the groups: add.reduce sums 8 or more terms pairwise
-        avg_w2=np.add.accumulate(to_bary, axis=1)[:, -1],
+        avg_w2=to_bary.sum(axis=1),
         pairwise=pairwise,
     )
 

@@ -72,25 +72,14 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each vector along the last axis, to the bit, and finite above ~1e154.
+    """Norm of each vector along the last axis: ``np.linalg.norm`` of that 1-d vector, to the bit.
 
-    Scaling by a power of two is exact, and keeps the square of such a norm
-    finite.
+    Each vector is scaled by a power of two, which is exact, so the norm of
+    a vector above ~1e154 stays finite although its square would not.
     """
     _, exponent = np.frexp(np.abs(v).max(axis=-1))
     scaled = np.ldexp(v, -exponent[..., None])
     return np.ldexp(np.sqrt(_dot(scaled, scaled)), exponent)
-
-
-def _beta_norms(beta: np.ndarray) -> np.ndarray:
-    """Row norms of each (M, d) coefficient matrix along the leading axes.
-
-    One power of two per matrix scales it: exact, and it keeps squares of
-    norms above ~1e154 finite.
-    """
-    _, exponent = np.frexp(np.abs(beta).max(axis=(-2, -1)))
-    scaled = np.ldexp(beta, -exponent[..., None, None])
-    return np.ldexp(np.linalg.norm(scaled, axis=-1), exponent[..., None])
 
 
 def to_dict(obj) -> dict:
@@ -190,7 +179,7 @@ class ModelParams:
 
     @property
     def beta_norms(self) -> np.ndarray:
-        return _beta_norms(self.beta)
+        return _norm(self.beta)
 
     def diversity_factor(self) -> float:
         """``norm_diversity_factor`` of this model; needs every ||beta_s|| > 0."""
@@ -273,7 +262,7 @@ class _ModelStack:
             name: np.array([getattr(m, name) for m in models])
             for name in ("beta", "mu", "p", "sigma_x", "sigma_xi", "B")
         }
-        return cls(**stacked, norms=_beta_norms(stacked["beta"]))
+        return cls(**stacked, norms=_norm(stacked["beta"]))
 
 
 @dataclass(frozen=True)

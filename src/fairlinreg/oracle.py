@@ -133,10 +133,10 @@ def gaussian_l2_distance(
 def _l2_distance(dw: np.ndarray, db: np.ndarray, models: _ModelStack) -> np.ndarray:
     """E[(f - g)^2] under each model, for the differences (dw, db) = (f - g).(w, b)."""
     mean_shift = _rowdot(dw, models.mu) + db
-    # A float's ** (C pow) and numpy's square differ in the last bit for ~0.1% of values.
-    variance = np.array([s ** 2 for s in models.sigma_x.tolist()])
-    per_group = variance[:, None] * _rowdot(dw, dw) + mean_shift ** 2
-    return _dot(models.p, per_group)
+    # a risk beyond the float range reads inf
+    with np.errstate(over="ignore"):
+        per_group = np.square(models.sigma_x)[:, None] * _rowdot(dw, dw) + mean_shift ** 2
+        return _dot(models.p, per_group)
 
 
 def analytic_excess_risk(f: GroupAffineRegressor, oracle: FairOracle) -> float:

@@ -328,6 +328,15 @@ class TestLowerBoundReport:
         with pytest.raises(ParameterError, match="n_grid must be nonempty"):
             run_lower_bound_report(9, 4, [], 1.0, 1.0, 1.0, seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma_x, sigma_xi", [(1.0, 1e200), (1e160, 1.0)])
+    def test_sigma_too_large_to_square_rejected(self, sigma_x, sigma_xi):
+        # sigma ** 2 on a float above ~1.3e154 raised a bare OverflowError
+        with pytest.raises(ParameterError, match="packing radius"):
+            run_lower_bound_report(
+                9, 4, [400], 1.0, sigma_x, sigma_xi, seed=0, trials=2, code_budget=50
+            )
+
     def test_pair_reduction_matches_per_pair_loop(self):
         # reference: the explicit loop over every codeword pair
         n_grid, budget, seed = [1000, 4000], 200, 3
@@ -650,6 +659,21 @@ class TestCli:
             values = dict(zip(columns, row.split(",")))
             assert np.isfinite(float(values["w2_unfairness"]))
             assert float(values["excess_risk"]) > 0.0
+
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+    def test_evaluate_risk_past_float_range_is_inf(self, tmp_path, params_file, capsys):
+        # sigma_x ** 2 on a float above ~1.3e154 raised OverflowError, a traceback
+        params = tmp_path / "huge_sigma_x.json"
+        params.write_text(json.dumps({**json.loads(params_file.read_text()), "sigma_x": 1e200}))
+        regressor = tmp_path / "reg.json"
+        regressor.write_text('{"w": [[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]], "b": [0.0, 0.0]}')
+        out = tmp_path / "metrics.json"
+        assert main(
+            ["evaluate", "--regressor", str(regressor), "--params", str(params),
+             "--out", str(out)]
+        ) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["excess_risk"] == np.inf
 
     def test_huge_B_does_not_overflow(self, tmp_path, params_file, capsys):
         # B ** 2 on a float above ~1.3e154 raised OverflowError, a traceback
