@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .model import ModelParams, _frozen_array, _is_int, norm_diversity_factor
+from .model import ModelParams, _frozen_array, _is_int, _rowdot, norm_diversity_factor
 from .oracle import build_fdp
 
 
@@ -208,21 +208,23 @@ def kl_conditional_sample(
     log-likelihood ratio by n_s; returns (mean, standard error) over reps.
     """
     _check_shared(theta, theta_prime)
+    if not _is_int(n_mc) or n_mc < 2:
+        raise ParameterError(f"n_mc must be an integer >= 2, got {n_mc!r}")
     n_counts = np.asarray(n_counts, dtype=float)
+    if n_counts.shape != (theta.M,):
+        raise DimensionError(f"n_counts must have length {theta.M}")
     rng = np.random.default_rng(seed)
     sx2, sxi2 = np.square(theta.sigma_x), np.square(theta.sigma_xi)
+    # log N(x; mu, sx^2 I) - log N(x; mu', sx^2 I) is affine in x
+    x_slope = 2.0 * (theta.mu - theta_prime.mu)
+    x_shift = _rowdot(theta_prime.mu, theta_prime.mu) - _rowdot(theta.mu, theta.mu)
     total = np.zeros(n_mc)
     for s in range(theta.M):
         x = theta.mu[s] + theta.sigma_x * rng.standard_normal((n_mc, theta.d))
-        y = x @ theta.beta[s] + theta.sigma_xi * rng.standard_normal(n_mc)
-        # log N(x; mu, sx^2 I) - log N(x; mu', sx^2 I): quadratic terms only.
-        llr_x = (
-            np.einsum("ij,ij->i", x - theta_prime.mu[s], x - theta_prime.mu[s])
-            - np.einsum("ij,ij->i", x - theta.mu[s], x - theta.mu[s])
-        ) / (2.0 * sx2)
-        llr_y = (
-            (y - x @ theta_prime.beta[s]) ** 2 - (y - x @ theta.beta[s]) ** 2
-        ) / (2.0 * sxi2)
+        x_beta = x @ theta.beta[s]
+        y = x_beta + theta.sigma_xi * rng.standard_normal(n_mc)
+        llr_x = (x @ x_slope[s] + x_shift[s]) / (2.0 * sx2)
+        llr_y = ((y - x @ theta_prime.beta[s]) ** 2 - (y - x_beta) ** 2) / (2.0 * sxi2)
         total += n_counts[s] * (llr_x + llr_y)
     est = float(total.mean())
     se = float(total.std(ddof=1) / math.sqrt(n_mc))
@@ -275,7 +277,13 @@ def _separation_of_distance(
     """Packed-pair separation from per-block Hamming distances d_h (..., M)."""
     p = np.asarray(p, dtype=float)
     bar = float(p @ family.B_s)
-    per = p * bar ** 2 * np.square(sigma_x) * family.eps_s ** 2 * d_h / (family.d - 1)
+    try:
+        bar_sq = bar ** 2
+    except OverflowError:
+        raise ParameterError(
+            f"the weighted norm p . B_s = {bar:.6g} is too large to square"
+        ) from None
+    per = p * bar_sq * np.square(sigma_x) * family.eps_s ** 2 * d_h / (family.d - 1)
     return per.sum(axis=-1)
 
 

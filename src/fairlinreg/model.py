@@ -23,6 +23,12 @@ from .errors import ConfigError, DimensionError, ParameterError
 CONSTRAINT_TOL = 1e-9
 PROB_TOL = 1e-12
 
+# Rows per formatting step of ``Dataset.to_csv``: bounds its working memory
+# (Python floats, row strings and the joined text: about 80 bytes per value,
+# some 40 kB per column at 512 rows) whatever n.  A process's peak RSS counts
+# that memory once per thread writing a CSV, so the chunk is kept small.
+_CSV_CHUNK = 512
+
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -304,17 +310,20 @@ class Dataset:
         return np.flatnonzero(self.s == s)
 
     def to_csv(self, path: str | Path) -> None:
-        """Write a header and one ``%.17g`` row per observation, CRLF-terminated."""
+        """Write a header and one ``%.17g`` row per observation, CRLF-terminated.
+
+        Rows are formatted from Python floats and ints, _CSV_CHUNK at a time,
+        which bounds the text held in memory whatever n.
+        """
         header = [f"x_{j + 1}" for j in range(self.d)] + ["s", "y"]
-        np.savetxt(
-            path,
-            np.column_stack([self.x, self.s + 1, self.y]),
-            fmt=["%.17g"] * self.d + ["%d", "%.17g"],
-            delimiter=",",
-            header=",".join(header),
-            comments="",
-            newline="\r\n",
-        )
+        row = ",".join(["%.17g"] * self.d + ["%d", "%.17g"]) + "\r\n"
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for start in range(0, self.n, _CSV_CHUNK):
+                rows = slice(start, start + _CSV_CHUNK)
+                x, s, y = self.x[rows], self.s[rows] + 1, self.y[rows]
+                columns = [*x.T.tolist(), s.tolist(), y.tolist()]
+                fh.write("".join([row % values for values in zip(*columns)]))
 
     @classmethod
     def from_csv(cls, path: str | Path, M: int) -> "Dataset":

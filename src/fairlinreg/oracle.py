@@ -133,9 +133,13 @@ def gaussian_l2_distance(
 def _l2_distance(dw: np.ndarray, db: np.ndarray, models: _ModelStack) -> np.ndarray:
     """E[(f - g)^2] under each model, for the differences (dw, db) = (f - g).(w, b)."""
     mean_shift = _rowdot(dw, models.mu) + db
-    # a risk beyond the float range reads inf
+    slope_sq = _rowdot(dw, dw)
+    # a risk beyond the float range reads inf; a group whose slopes agree adds
+    # no slope term, also where sigma_x^2 is inf (the inf * 0 is masked out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope_term = np.square(models.sigma_x)[:, None] * slope_sq
     with np.errstate(over="ignore"):
-        per_group = np.square(models.sigma_x)[:, None] * _rowdot(dw, dw) + mean_shift ** 2
+        per_group = np.where(slope_sq != 0.0, slope_term, 0.0) + mean_shift ** 2
         return _dot(models.p, per_group)
 
 

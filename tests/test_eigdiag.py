@@ -10,6 +10,7 @@ from fairlinreg import (
     min_eig_tail_bound,
     min_eig_tail_check,
 )
+from fairlinreg.eigdiag import _tail_lambda_mins
 
 
 class TestGramEigs:
@@ -56,6 +57,12 @@ class TestGramEigs:
         with pytest.raises(ParameterError):
             gram_eigs(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gram_rejected(self):
+        # finite rows whose second moments are beyond the float range
+        with pytest.raises(ParameterError, match="overflows"):
+            gram_eigs(np.array([[1e200, 0.0], [0.0, 1.0]]))
+
 
 class TestTailCheck:
     def test_requires_enough_samples(self):
@@ -80,6 +87,43 @@ class TestTailCheck:
         assert row.vacuous and row.bound >= 1.0
         # informational: the empirical mass below 0.5 is small but positive-ish
         assert 0.0 <= row.empirical_tail <= 0.2
+
+    @pytest.mark.parametrize(
+        "mu, sigma_x, d, n", [(np.zeros(2), 1.0, 2, 60), ([0.5, -1.0, 2.0], 2.5, 3, 40)]
+    )
+    def test_lambda_mins_equal_a_per_rep_loop(self, mu, sigma_x, d, n):
+        # reference: the per-rep loop the stacked draw replaced, one gram_eigs
+        # per rep, and the 2-d Gram eigensolve gram_eigs made before it
+        reps, seed = 300, 3
+        mu = np.broadcast_to(np.asarray(mu, dtype=float), (d,))
+        expect = np.empty(reps)
+        for r in range(reps):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            x = mu + sigma_x * rng.standard_normal((n, d))
+            expect[r] = gram_eigs(x).lambda_min
+            assert expect[r] == np.linalg.eigvalsh(x.T @ x / n)[0]
+        assert np.array_equal(_tail_lambda_mins(mu, sigma_x, d, n, reps, seed), expect)
+        t_grid = np.quantile(expect, [0.1, 0.5, 0.9])
+        rows = min_eig_tail_check(mu, sigma_x, d, n, t_grid, reps, seed)
+        assert [row.empirical_tail for row in rows] == [float(np.mean(expect < t)) for t in t_grid]
+
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+    @pytest.mark.parametrize("sigma_x", [1e200, 1e308])
+    def test_overflowing_draws_rejected(self, sigma_x):
+        with pytest.raises(ParameterError):
+            min_eig_tail_check(np.zeros(2), sigma_x, 2, 60, [0.5], 20, 0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("reps", [0, -3, 2.5, True])
+    def test_bad_reps_rejected(self, reps):
+        with pytest.raises(ParameterError, match="reps"):
+            min_eig_tail_check(np.zeros(2), 1.0, 2, 60, [0.5], reps, 0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma_x", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_sigma_x_rejected(self, sigma_x):
+        with pytest.raises(ParameterError, match="sigma_x"):
+            min_eig_tail_check(np.zeros(2), sigma_x, 2, 60, [0.5], 20, 0)
 
     def test_bound_formula(self):
         assert min_eig_tail_bound(0.0, 1.0, 60) == 0.0

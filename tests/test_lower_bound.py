@@ -7,6 +7,7 @@ import pytest
 
 from _support import make_params
 from fairlinreg import (
+    DimensionError,
     GroupAffineRegressor,
     ParameterError,
     build_family,
@@ -232,6 +233,65 @@ class TestKl:
         assert abs(est - exact) <= 4 * se
 
 
+def _two_einsum_kl_sample(theta, theta_prime, n_counts, n_mc, seed):
+    """The per-group loop with both x quadratics as einsums, as kl_conditional_sample was."""
+    n_counts = np.asarray(n_counts, dtype=float)
+    rng = np.random.default_rng(seed)
+    sx2, sxi2 = np.square(theta.sigma_x), np.square(theta.sigma_xi)
+    total = np.zeros(n_mc)
+    for s in range(theta.M):
+        x = theta.mu[s] + theta.sigma_x * rng.standard_normal((n_mc, theta.d))
+        y = x @ theta.beta[s] + theta.sigma_xi * rng.standard_normal(n_mc)
+        llr_x = (
+            np.einsum("ij,ij->i", x - theta_prime.mu[s], x - theta_prime.mu[s])
+            - np.einsum("ij,ij->i", x - theta.mu[s], x - theta.mu[s])
+        ) / (2.0 * sx2)
+        llr_y = (
+            (y - x @ theta_prime.beta[s]) ** 2 - (y - x @ theta.beta[s]) ** 2
+        ) / (2.0 * sxi2)
+        total += n_counts[s] * (llr_x + llr_y)
+    return float(total.mean()), float(total.std(ddof=1) / math.sqrt(n_mc))
+
+
+class TestKlSampleReference:
+    @pytest.mark.parametrize("d, M, seed", [(5, 2, 0), (5, 2, 123), (7, 3, 9)])
+    def test_packed_pairs_exactly(self, d, M, seed):
+        # mu = 0: the x log-ratio is exactly 0 in both forms
+        rng = np.random.default_rng(seed)
+        family = build_family(d, M, rng.uniform(0.5, 2.0, M), rng.uniform(0.1, 0.9, M))
+        p = np.full(M, 1.0 / M)
+        theta = family.params_of(random_sign_matrix(rng, M, d - 1), p, 1.3, 0.7)
+        theta_prime = family.params_of(random_sign_matrix(rng, M, d - 1), p, 1.3, 0.7)
+        n_counts = rng.integers(1, 100, size=M)
+        args = (theta, theta_prime, n_counts, 20_000, seed)
+        assert kl_conditional_sample(*args) == _two_einsum_kl_sample(*args)
+
+    def test_nonzero_means_to_rounding(self):
+        # the pair of test_sample_kl_with_nonzero_means
+        theta = make_params(
+            [[1.0, 0.2], [0.5, 0.5]], mu=[[0.3, -0.1], [0.2, 0.4]], B=2.0
+        )
+        theta_prime = make_params(
+            [[0.8, 0.3], [0.6, 0.2]], mu=[[0.1, 0.1], [0.0, 0.3]], B=2.0
+        )
+        args = (theta, theta_prime, [30, 70], 50_000, 7)
+        got, expect = kl_conditional_sample(*args), _two_einsum_kl_sample(*args)
+        assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")  # no ddof warning before the error
+    @pytest.mark.parametrize("n_mc", [1, 0, -5, 2.5, True])
+    def test_bad_n_mc_rejected(self, n_mc):
+        theta = make_params([[1.0, 0.2], [0.5, 0.5]], B=2.0)
+        with pytest.raises(ParameterError, match="n_mc"):
+            kl_conditional_sample(theta, theta, [30, 70], n_mc, 0)
+
+    @pytest.mark.parametrize("n_counts", [[30], [30, 70, 5], 30])
+    def test_bad_n_counts_rejected(self, n_counts):
+        theta = make_params([[1.0, 0.2], [0.5, 0.5]], B=2.0)
+        with pytest.raises(DimensionError):
+            kl_conditional_sample(theta, theta, n_counts, 100, 0)
+
+
 class TestTwoPointBound:
     def test_zero_at_equal_params(self):
         params = make_params([[1.0, 0.1], [0.4, 0.7]], B=2.0)
@@ -357,3 +417,10 @@ class TestSeparation:
             build_fdp(theta).fdp, build_fdp(theta_prime).fdp, theta
         )
         assert sep == pytest.approx(exact / 4.0, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_norm_too_large_to_square_rejected(self):
+        family = build_family(5, 2, [1e160, 1e160], [0.3, 0.3])
+        v = np.ones((2, 4), dtype=np.int8)
+        with pytest.raises(ParameterError, match="too large to square"):
+            packed_pair_separation(family, v, -v, [0.5, 0.5], 1.0)

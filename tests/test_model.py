@@ -22,7 +22,7 @@ from fairlinreg import (
     to_dict,
     validate_params,
 )
-from fairlinreg.model import _norm, from_dict, norm_diversity_factor
+from fairlinreg.model import _CSV_CHUNK, _norm, from_dict, norm_diversity_factor
 
 
 class TestValidateParams:
@@ -278,6 +278,48 @@ class TestSerialization:
         path = tmp_path / "data.csv"
         data.to_csv(path)
         assert path.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            (_CSV_CHUNK - 1, 2),
+            (_CSV_CHUNK, 2),
+            (_CSV_CHUNK + 1, 2),
+            (2 * _CSV_CHUNK + 3, 3),
+            (1, 2),
+            (50, 1),
+        ],
+    )
+    def test_dataset_csv_bytes_across_chunks(self, tmp_path, n, d):
+        # references: the csv module as above, and the np.savetxt call the
+        # chunked writer replaced
+        import csv
+        import io
+
+        rng = np.random.default_rng(n)
+        M = 1 if d == 1 else 3
+        beta, mu = rng.standard_normal((M, d)), rng.standard_normal((M, d)) / 9
+        params = make_params(beta, mu=mu, B=5.0)
+        data = sample_dataset(params, n, seed=n + d)
+        header = [f"x_{j + 1}" for j in range(d)] + ["s", "y"]
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for x, s, y in zip(data.x, data.s, data.y):
+            writer.writerow([f"{v:.17g}" for v in x] + [str(s + 1), f"{y:.17g}"])
+        old = tmp_path / "savetxt.csv"
+        np.savetxt(
+            old,
+            np.column_stack([data.x, data.s + 1, data.y]),
+            fmt=["%.17g"] * d + ["%d", "%.17g"],
+            delimiter=",",
+            header=",".join(header),
+            comments="",
+            newline="\r\n",
+        )
+        path = tmp_path / "data.csv"
+        data.to_csv(path)
+        assert path.read_bytes() == buf.getvalue().encode() == old.read_bytes()
 
     def test_csv_group_labels_one_based(self, tmp_path):
         params = make_params([[1.0], [1.0]])

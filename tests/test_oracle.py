@@ -159,6 +159,19 @@ class TestAnalyticExcessRisk:
         assert abs(est - analytic_excess_risk(f, oracle)) <= 4 * se
 
 
+    @pytest.mark.filterwarnings("error")  # no overflow or invalid-value warning
+    def test_infinite_sigma_x_squared_with_an_agreeing_group(self):
+        # sigma_x^2 overflows to inf; group 0's slopes agree, so it adds only its
+        # intercept term instead of inf * 0 = NaN
+        params = make_params([[1.0], [0.5]], sigma_x=1e200, B=1.2)
+        oracle = build_fdp(params)
+        w = oracle.fdp.w.copy()
+        w[1] += 1.0
+        assert analytic_excess_risk(GroupAffineRegressor(w=w, b=oracle.fdp.b), oracle) == np.inf
+        same_slopes = GroupAffineRegressor(w=oracle.fdp.w, b=oracle.fdp.b + [0.5, 0.0])
+        assert analytic_excess_risk(same_slopes, oracle) == 0.5 * 0.5 ** 2
+
+
 class TestAnalyticUnfairGap:
     def test_zero_for_fair_model(self):
         params = make_params([[1.0, 2.0], [1.0, 2.0]], mu=[[0.1, 0.0], [0.1, 0.0]], B=3.0)
