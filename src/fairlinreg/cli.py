@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -143,7 +144,13 @@ def _cmd_diagnose(args) -> None:
         raise FairRegressionError("one or more diagnostic checks failed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged, so every ``main`` call in a process,
+    from any thread, can use the same one.
+    """
     parser = argparse.ArgumentParser(
         prog="fairlinreg",
         description="Fair linear regression under demographic parity: "
@@ -156,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=_cmd_generate)
 
     fit_p = sub.add_parser("fit", help="fit the plugin estimator on a dataset CSV")
     fit_p.add_argument("--data", required=True)
@@ -164,20 +170,17 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--M", type=int, required=True)
     fit_p.add_argument("--seed", type=int, default=0)
     fit_p.add_argument("--out", required=True)
-    fit_p.set_defaults(func=_cmd_fit)
 
     ev = sub.add_parser("evaluate", help="score a regressor JSON against params JSON")
     ev.add_argument("--regressor", required=True)
     ev.add_argument("--params", required=True)
     ev.add_argument("--out", required=True)
-    ev.set_defaults(func=_cmd_evaluate)
 
     sw = sub.add_parser("sweep", help="run a seeded Monte Carlo sweep from config JSON")
     sw.add_argument("--config", required=True)
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--threads", type=int, default=1)
     sw.add_argument("--out", default=None)
-    sw.set_defaults(func=_cmd_sweep)
 
     lb = sub.add_parser("lower-bound", help="emit the lower-vs-upper sandwich table")
     lb.add_argument("--d", type=int, required=True)
@@ -187,12 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--seed", type=int, default=0)
     lb.add_argument("--trials", type=int, default=50)
     lb.add_argument("--out", required=True)
-    lb.set_defaults(func=_cmd_lower_bound)
 
     dg = sub.add_parser("diagnose", help="run eigenvalue/W2/KL oracle self-checks")
     dg.add_argument("--seed", type=int, default=0)
     dg.add_argument("--out", required=True)
-    dg.set_defaults(func=_cmd_diagnose)
     return parser
 
 
@@ -202,7 +203,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        args.func(args)
+        # looked up on each call, not bound into the shared parser
+        globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (
         ConfigError, ParameterError, DimensionError,
         OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError,

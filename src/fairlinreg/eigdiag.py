@@ -52,9 +52,16 @@ def gram_eigs(x_rows: np.ndarray) -> EigDiag:
     return EigDiag(lambda_min=float(eigs[0]), lambda_max=float(eigs[-1]), n=m, d=d)
 
 
+def _check_sigma_x(sigma_x) -> None:
+    if not (_is_finite_real(sigma_x) and sigma_x > 0.0):
+        raise ParameterError(f"sigma_x must be positive and finite, got {sigma_x!r}")
+
+
 def min_eig_tail_bound(t: float, sigma_x: float, n: int) -> float:
     """The concentration bound (21 e^10 t / sigma_x^2)^(n/6) on P{lambda_min < t}."""
-    base = TAIL_CONSTANT * t / sigma_x ** 2
+    _check_sigma_x(sigma_x)
+    # sigma_x ** 2 on a float raises OverflowError where sigma_x * sigma_x reads inf
+    base = TAIL_CONSTANT * t / (sigma_x * sigma_x)
     if base <= 0.0:
         return 0.0
     try:
@@ -65,9 +72,10 @@ def min_eig_tail_bound(t: float, sigma_x: float, n: int) -> float:
 
 def max_inv_eig_expectation_bound(sigma_x: float, d: int, n: int) -> float:
     """Bound on E[lambda_max(((1/n) X^T X)^{-1})], valid for n > 6d."""
+    _check_sigma_x(sigma_x)
     if n <= 6 * d:
         raise ParameterError(f"need n > 6d, got n={n}, d={d}")
-    return TAIL_CONSTANT / sigma_x ** 2 * (1.0 + 6.0 / (n - 6))
+    return TAIL_CONSTANT / (sigma_x * sigma_x) * (1.0 + 6.0 / (n - 6))
 
 
 @dataclass(frozen=True)
@@ -116,8 +124,7 @@ def min_eig_tail_check(
     """
     if not _is_int(reps) or reps < 1:
         raise ParameterError(f"reps must be an integer >= 1, got {reps!r}")
-    if not (_is_finite_real(sigma_x) and sigma_x > 0.0):
-        raise ParameterError(f"sigma_x must be positive and finite, got {sigma_x!r}")
+    _check_sigma_x(sigma_x)
     if n <= 6 * d:
         raise ParameterError(f"need n > 6d, got n={n}, d={d}")
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (d,))

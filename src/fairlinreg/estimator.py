@@ -16,8 +16,9 @@ Component estimators are gated on per-group sample size; gated-off
 components are zeroed, which can drive the assembled regressor to the zero
 constant on tiny groups.
 
-Sweeps run many trials at once: ``_draw_cells`` makes one trial's draws,
-then ``_cell_stats`` and ``_fit_cells`` form and fit a batch of them.
+Sweeps run many trials at once: ``_draw_cells`` makes one trial's draws
+from a stack of models, then ``_cell_stats`` and ``_fit_cells`` form and fit
+a batch of them.
 ``sample_cell_stats`` and ``fit`` call the same kernels on a batch of one.
 """
 
@@ -82,10 +83,12 @@ def make_split(dataset: Dataset, seed: int | np.random.SeedSequence) -> SplitPla
     return SplitPlan(three=three, two=two)
 
 
-def _split_sizes(count: int, parts: int) -> list[int]:
-    """Block sizes of ``np.array_split`` of ``count`` rows into ``parts``."""
-    q, r = divmod(count, parts)
-    return [q + 1] * r + [q] * (parts - r)
+def _split_sizes(counts: np.ndarray, parts: int) -> np.ndarray:
+    """Block sizes of ``np.array_split`` of each count's rows into ``parts``, on a new last axis.
+
+    Block j of ``count`` rows holds (count + parts - 1 - j) // parts of them.
+    """
+    return (counts[..., None] + np.arange(parts - 1, -1, -1)) // parts
 
 
 def _solve_normal_equations(gram: np.ndarray, xty: np.ndarray) -> np.ndarray:
@@ -165,11 +168,11 @@ def _cell_table(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Half 0 of the 2-way permutation is a uniform subset of its size, so the
     number of its rows in each third is multivariate hypergeometric.
     """
+    thirds = _split_sizes(counts, 3)
     table = np.empty((len(counts), 3, 2), dtype=np.int64)
-    for s, count in enumerate(counts.tolist()):
-        thirds = _split_sizes(count, 3)
-        table[s, :, 0] = rng.multivariate_hypergeometric(thirds, _split_sizes(count, 2)[0])
-        table[s, :, 1] = thirds - table[s, :, 0]
+    for s, half in enumerate(_split_sizes(counts, 2)[:, 0].tolist()):
+        table[s, :, 0] = rng.multivariate_hypergeometric(thirds[s], half)
+    table[:, :, 1] = thirds - table[:, :, 0]
     return table
 
 
@@ -182,16 +185,19 @@ def _check_model(params: ModelParams, n: int) -> None:
         raise ParameterError(f"n must be positive, got {n}")
 
 
-def _draw_cells(params: ModelParams, n: int, rng: np.random.Generator) -> tuple:
-    """One trial's random draws for its cell statistics, in ``sample_cell_stats``'s order.
+def _draw_cells(models: _ModelStack, i: int, n: int, rng: np.random.Generator) -> tuple:
+    """Trial i's random draws for its cell statistics, in ``sample_cell_stats``'s order.
 
     Returns the (M, 3, 2) cell table; for the k cells of m >= d + 1 rows,
     the Bartlett normals (k, d, d) and chi-square variates (k, d), the sum
     normals (k, d) and the noise normals (k, d + 1, 1); and, for each
     smaller cell, its flat index with Σx, XᵀX and Xᵀy of its drawn rows.
+    Callers ignore overflow and invalid values: ``_cell_stats`` rejects them.
     """
-    d, sigma_x, sigma_xi = params.d, params.sigma_x, params.sigma_xi
-    table = _cell_table(rng.multinomial(n, params.p), rng)
+    mu, beta = models.mu[i], models.beta[i]
+    sigma_x, sigma_xi = models.sigma_x[i], models.sigma_xi[i]
+    d = mu.shape[1]
+    table = _cell_table(rng.multinomial(n, models.p[i]), rng)
     m = table.reshape(-1)  # cells in (group, third, half) order
     big = m > d
     k = int(big.sum())
@@ -200,12 +206,11 @@ def _draw_cells(params: ModelParams, n: int, rng: np.random.Generator) -> tuple:
     sums = rng.standard_normal((k, d))
     noise = rng.standard_normal((k, d + 1, 1))
     small = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for cell in np.flatnonzero((m > 0) & ~big):
-            group = cell // 6
-            x = params.mu[group] + sigma_x * rng.standard_normal((m[cell], d))
-            y = x @ params.beta[group] + sigma_xi * rng.standard_normal(m[cell])
-            small.append((cell, x.sum(axis=0), x.T @ x, x.T @ y))
+    for cell in np.flatnonzero((m > 0) & ~big):
+        group = cell // 6
+        x = mu[group] + sigma_x * rng.standard_normal((m[cell], d))
+        y = x @ beta[group] + sigma_xi * rng.standard_normal(m[cell])
+        small.append((cell, x.sum(axis=0), x.T @ x, x.T @ y))
     return table, bartlett, chi2, sums, noise, small
 
 
@@ -280,8 +285,10 @@ def sample_cell_stats(
     This is a batch of one of the kernels that sweeps run on many trials.
     """
     _check_model(params, n)
-    draw = _draw_cells(params, n, np.random.default_rng(seed))
-    size, total, gram, xty = _cell_stats(_ModelStack.of([params]), [draw])
+    models = _ModelStack.of([params])
+    with np.errstate(over="ignore", invalid="ignore"):
+        draw = _draw_cells(models, 0, n, np.random.default_rng(seed))
+    size, total, gram, xty = _cell_stats(models, [draw])
     return CellStats(size=size[0], total=total[0], gram=gram[0], xty=xty[0])
 
 

@@ -11,8 +11,6 @@ byte-identical regardless of batch size and worker count.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,10 +37,12 @@ from .model import (
     _is_finite_real,
     _is_int,
     _ModelStack,
+    _norm,
+    _report,
     _rowdot,
+    _violations,
     from_dict,
     norm_diversity_factor,
-    validate_params,
 )
 from .oracle import _fair, _l2_distance
 
@@ -115,7 +115,24 @@ def random_valid_params(
     stays below B^2 (at most about 3.43 at r = 4, about 1 + 3 (B - 1)^2 as
     B -> 1), so every draw meets the bound and the rejection loop only
     guards round-off.  B < 1, or B = 1 with M >= 2, admits no norms and is
-    a ConfigError before any draw.
+    a ConfigError before any draw.  This is ``_draw_models`` on one generator.
+    """
+    models = _draw_models(d, M, B, U, sigma_x, sigma_xi, [rng])
+    return ModelParams(
+        d=d, M=M, beta=models.beta[0], mu=models.mu[0], p=models.p[0],
+        sigma_x=sigma_x, sigma_xi=sigma_xi, B=B, U=U,
+    )
+
+
+def _draw_models(
+    d: int, M: int, B: float, U: float, sigma_x: float, sigma_xi: float, rngs: list
+) -> _ModelStack:
+    """``random_valid_params`` on each generator, checked and stacked as one batch.
+
+    Each generator draws its norms (until they meet the bound), directions,
+    mean directions and radii in turn, so a model depends only on its own
+    generator; the arithmetic after the draws is elementwise or per row.
+    A model that fails a constraint is a ConfigError.
     """
     if B < 1.0 or (B == 1.0 and M >= 2):
         raise ConfigError(
@@ -123,28 +140,40 @@ def random_valid_params(
             "of balanced groups must be <= B^2 but is at least 1, and equals 1 "
             "only when all norms are equal, which log-uniform draws never are"
         )
+    T = len(rngs)
     p = np.full(M, 1.0 / M)
-    for _ in range(10_000):
-        norms = np.exp(rng.uniform(math.log(B / min(4.0, B * B)), math.log(B), size=M))
-        if norm_diversity_factor(p, norms) <= B * B:  # B ** 2 on a float can overflow
-            break
-    else:
-        raise ConfigError("could not sample norms satisfying the diversity bound")
-    dirs = rng.standard_normal((M, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    beta = norms[:, None] * dirs
-    mu_dirs = rng.standard_normal((M, d))
-    mu_dirs /= np.linalg.norm(mu_dirs, axis=1, keepdims=True)
-    radii = U * rng.random(M) ** (1.0 / d)
-    mu = radii[:, None] * mu_dirs
-    params = ModelParams(
-        d=d, M=M, beta=beta, mu=mu, p=p,
-        sigma_x=sigma_x, sigma_xi=sigma_xi, B=B, U=U,
+    log_range = (math.log(B / min(4.0, B * B)), math.log(B))
+    norms = np.empty((T, M))
+    normals = np.empty((T, 2, M, d))  # each model's directions, then its mean directions
+    uniforms = np.empty((T, M))
+    for t, rng in enumerate(rngs):
+        for _ in range(10_000):
+            draw = np.exp(rng.uniform(*log_range, size=M))
+            if norm_diversity_factor(p, draw) <= B * B:  # B ** 2 on a float can overflow
+                break
+        else:
+            raise ConfigError("could not sample norms satisfying the diversity bound")
+        norms[t] = draw
+        rng.standard_normal(out=normals[t])
+        rng.random(out=uniforms[t])
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    beta = norms[..., None] * normals[:, 0]
+    radii = U * uniforms ** (1.0 / d)
+    models = _ModelStack(
+        beta=beta,
+        mu=radii[..., None] * normals[:, 1],
+        p=np.tile(p, (T, 1)),
+        sigma_x=np.full(T, sigma_x, dtype=float),
+        sigma_xi=np.full(T, sigma_xi, dtype=float),
+        B=np.full(T, B, dtype=float),
+        U=np.full(T, U, dtype=float),
+        norms=_norm(beta),
     )
-    report = validate_params(params)
-    if report:
-        raise ConfigError("generated invalid params: " + "; ".join(report))
-    return params
+    violations = _violations(models)
+    bad = np.flatnonzero(np.any([violated for violated, _, _ in violations], axis=0))
+    if bad.size:
+        raise ConfigError("generated invalid params: " + "; ".join(_report(violations, bad[0])))
+    return models
 
 
 def _mean_leak(models: _ModelStack, estimates: ComponentEstimates) -> np.ndarray:
@@ -219,44 +248,42 @@ def _batches(trials: int) -> list[range]:
     return [range(start, min(start + TRIAL_BATCH, trials)) for start in starts]
 
 
-def _fit_trials(models: list[ModelParams], n: int, seed: int, keys: list[tuple]) -> tuple:
+def _fit_trials(models: _ModelStack, n: int, seed: int, keys: list[tuple]) -> tuple:
     """Monte Carlo trials as one batch: draw cell statistics, fit them, score the fits.
 
     Trial i draws its statistics, as ``sample_cell_stats`` does, from the
     seed sequence keyed by (*keys[i], 1); its model is not checked again.
-    Returns the model stack, the analytic excess risks, the fitted w and b,
-    and the estimates, each with a leading trial axis.
+    Returns the analytic excess risks, the fitted w and b, and the
+    estimates, each with a leading trial axis.
     """
-    stack = _ModelStack.of(models)
-    draws = [
-        _draw_cells(
-            params, n, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, 1)))
-        )
-        for params, key in zip(models, keys)
-    ]
-    w, b, estimates = _fit_cells(*_cell_stats(stack, draws))
-    _, _, oracle_w, oracle_b = _fair(stack)
-    return stack, _l2_distance(w - oracle_w, b - oracle_b, stack), w, b, estimates
+    # a draw that overflows is rejected as non-finite by _cell_stats
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = [
+            _draw_cells(
+                models, i, n,
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, 1))),
+            )
+            for i, key in enumerate(keys)
+        ]
+    w, b, estimates = _fit_cells(*_cell_stats(models, draws))
+    _, _, oracle_w, oracle_b = _fair(models)
+    return _l2_distance(w - oracle_w, b - oracle_b, models), w, b, estimates
 
 
 def _run_trial(config: SweepConfig, cell_idx: int, cell, trials: range) -> dict:
     """One sweep job: the rows of one cell's ``trials``, as columns in CSV order."""
     n, d, M = cell
-    models = [
-        random_valid_params(
-            d, M, config.B, config.U, config.sigma_x, config.sigma_xi,
-            np.random.default_rng(
-                np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 0))
-            ),
-        )
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 0)))
         for trial in trials
     ]
-    flags = [undersampled(n, d, M, float(params.p.min()), config.delta) for params in models]
+    stack = _draw_models(d, M, config.B, config.U, config.sigma_x, config.sigma_xi, rngs)
+    flags = [undersampled(n, d, M, p_min, config.delta) for p_min in stack.p.min(axis=1).tolist()]
     T = len(trials)
     # Squared errors of coefficients above ~1e154 exceed the float range and read inf.
     with np.errstate(over="ignore"):
-        stack, risk, w, b, estimates = _fit_trials(
-            models, n, config.seed, [(cell_idx, trial) for trial in trials]
+        risk, w, b, estimates = _fit_trials(
+            stack, n, config.seed, [(cell_idx, trial) for trial in trials]
         )
         report = _unfairness(w, b, stack)
         return {
@@ -310,15 +337,12 @@ class SweepResult:
         return SweepResult({name: a[keep] for name, a in self.data.items()})
 
     def to_csv_text(self, schema: str = SWEEP_SCHEMA) -> str:
-        buf = io.StringIO()
-        buf.write(f"# schema={schema}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(
-                [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
-            )
-        return buf.getvalue()
+        """The schema line, the header, then one line per row: ``%d`` ints, ``%.17g`` floats."""
+        arrays = self.data.values()
+        row = ",".join("%.17g" if a.dtype.kind == "f" else "%d" for a in arrays) + "\n"
+        lines = [f"# schema={schema}\n", ",".join(self.columns) + "\n"]
+        lines += [row % values for values in zip(*(a.tolist() for a in arrays))]
+        return "".join(lines)
 
     def write_csv(self, path: str | Path, schema: str = SWEEP_SCHEMA) -> None:
         Path(path).write_text(self.to_csv_text(schema))
@@ -416,7 +440,9 @@ def run_lower_bound_report(
         params = family.params_of(code.codewords[0], p, sigma_x, sigma_xi)
         _check_model(params, n)
         risks = np.concatenate([
-            _fit_trials([params] * len(batch), n, seed, [(n_idx, t) for t in batch])[1]
+            _fit_trials(
+                _ModelStack.of([params] * len(batch)), n, seed, [(n_idx, t) for t in batch]
+            )[0]
             for batch in _batches(trials)
         ])
         records.append(

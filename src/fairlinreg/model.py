@@ -134,16 +134,18 @@ def from_dict(cls, obj):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def norm_diversity_factor(p: np.ndarray, norms: np.ndarray) -> float:
+def norm_diversity_factor(p: np.ndarray, norms: np.ndarray):
     """Left side of the second norm-diversity inequality.
 
     (sum_s p_s ||beta_s||)^2 * (1/M) * sum_s ||beta_s||^-2, for positive norms.
     The factor is scale-free, so the norms are divided by their maximum first:
-    squaring norms above ~1e154 would overflow.
+    squaring norms above ~1e154 would overflow.  One model's 1-d norms give
+    a float; a (T, M) stack of them gives one factor per model.
     """
-    ratios = norms / norms.max()
+    ratios = norms / norms.max(axis=-1, keepdims=True)
     inverse_squares = ratios ** -2.0
-    return float((p @ ratios) ** 2 * (inverse_squares.sum() / inverse_squares.size))
+    factor = _dot(p, ratios) ** 2 * (inverse_squares.sum(axis=-1) / norms.shape[-1])
+    return float(factor) if norms.ndim == 1 else factor
 
 
 @dataclass(frozen=True)
@@ -206,44 +208,54 @@ def validate_params(params: ModelParams) -> list[str]:
     """Return a report of violated constraints (empty iff the params are valid).
 
     Each entry names the constraint and the measured value.  Pure reporting:
-    never raises for a mathematical violation.
+    never raises for a mathematical violation.  The checks are those of
+    ``_violations`` on a batch of one.
     """
-    report: list[str] = []
-    p = params.p
-    psum = float(p.sum())
-    if abs(psum - 1.0) > PROB_TOL:
-        report.append(f"group probabilities must sum to 1: sum(p) = {psum!r}")
-    if np.any(p <= 0.0):
-        report.append(f"every group probability must be positive: min(p) = {p.min()!r}")
-    if params.sigma_x <= 0.0:
-        report.append(f"sigma_x must be positive: {params.sigma_x!r}")
-    if params.sigma_xi < 0.0:
-        report.append(f"sigma_xi must be nonnegative: {params.sigma_xi!r}")
-    if params.B <= 0.0:
-        report.append(f"B must be positive: {params.B!r}")
-    if params.U <= 0.0:
-        report.append(f"U must be positive: {params.U!r}")
+    return _report(_violations(_ModelStack.of([params])), 0)
 
-    norms = params.beta_norms
-    max_norm = float(norms.max())
-    if max_norm > params.B + CONSTRAINT_TOL:
-        report.append(
-            f"max-norm violated: max_s ||beta_s|| = {max_norm!r} > B = {params.B!r}"
-        )
-    if np.all(norms > 0.0):
-        factor = norm_diversity_factor(p, norms)
-        # B * B overflows to inf where B ** 2 on a float raises OverflowError
-        if factor > params.B * params.B + CONSTRAINT_TOL:
-            report.append(
-                f"norm-diversity violated: factor = {factor!r} > B^2 = {params.B * params.B!r}"
-            )
-    mu_norms = np.linalg.norm(params.mu, axis=1)
-    max_mu = float(mu_norms.max())
-    if max_mu > params.U + CONSTRAINT_TOL:
-        report.append(
-            f"mean-norm violated: max_s ||mu_s|| = {max_mu!r} > U = {params.U!r}"
-        )
-    return report
+
+def _violations(models: _ModelStack) -> list[tuple[np.ndarray, str, tuple]]:
+    """Every constraint on T models as (violated, message, measured values), each per model.
+
+    ``violated`` is a (T,) bool array; the message formats the measured values
+    of one model with ``_report``.
+    """
+    p, norms, B, U = models.p, models.norms, models.B, models.U
+    finite = np.isfinite(models.beta).all(axis=(1, 2)) & np.isfinite(models.mu).all(axis=(1, 2))
+    psum = p.sum(axis=1)
+    max_norm = norms.max(axis=1)
+    positive = (norms > 0.0).all(axis=1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        factor = np.where(positive, norm_diversity_factor(p, norms), np.nan)
+        B2 = B * B  # reads inf above ~1.3e154
+    max_mu = np.linalg.norm(models.mu, axis=2).max(axis=1)
+    return [
+        (np.abs(psum - 1.0) > PROB_TOL,
+         "group probabilities must sum to 1: sum(p) = {!r}", (psum,)),
+        ((p <= 0.0).any(axis=1),
+         "every group probability must be positive: min(p) = {!r}", (p.min(axis=1),)),
+        (models.sigma_x <= 0.0, "sigma_x must be positive: {!r}", (models.sigma_x,)),
+        (models.sigma_xi < 0.0, "sigma_xi must be nonnegative: {!r}", (models.sigma_xi,)),
+        (B <= 0.0, "B must be positive: {!r}", (B,)),
+        (U <= 0.0, "U must be positive: {!r}", (U,)),
+        (~finite, "beta and mu must be finite", ()),
+        (max_norm > B + CONSTRAINT_TOL,
+         "max-norm violated: max_s ||beta_s|| = {!r} > B = {!r}", (max_norm, B)),
+        # a zero norm leaves the factor undefined (NaN), and NaN violates nothing
+        (factor > B2 + CONSTRAINT_TOL,
+         "norm-diversity violated: factor = {!r} > B^2 = {!r}", (factor, B2)),
+        (max_mu > U + CONSTRAINT_TOL,
+         "mean-norm violated: max_s ||mu_s|| = {!r} > U = {!r}", (max_mu, U)),
+    ]
+
+
+def _report(violations: list[tuple[np.ndarray, str, tuple]], i: int) -> list[str]:
+    """Model i's violated constraints, each message with its measured values."""
+    return [
+        message.format(*(float(v[i]) for v in values))
+        for violated, message, values in violations
+        if violated[i]
+    ]
 
 
 @dataclass(frozen=True)
@@ -260,13 +272,14 @@ class _ModelStack:
     sigma_x: np.ndarray   # (T,)
     sigma_xi: np.ndarray  # (T,)
     B: np.ndarray         # (T,)
+    U: np.ndarray         # (T,)
     norms: np.ndarray     # (T, M): each model's beta_norms
 
     @classmethod
     def of(cls, models: Sequence[ModelParams]) -> "_ModelStack":
         stacked = {
             name: np.array([getattr(m, name) for m in models])
-            for name in ("beta", "mu", "p", "sigma_x", "sigma_xi", "B")
+            for name in ("beta", "mu", "p", "sigma_x", "sigma_xi", "B", "U")
         }
         return cls(**stacked, norms=_norm(stacked["beta"]))
 

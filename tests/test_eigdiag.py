@@ -131,6 +131,17 @@ class TestTailCheck:
         expect = (21.0 * np.exp(10.0) * t) ** (n / 6.0)
         assert min_eig_tail_bound(t, 1.0, n) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_bound_at_sigma_x_too_large_to_square(self):
+        # sigma_x ** 2 on a float raised a bare OverflowError here
+        assert min_eig_tail_bound(0.5, 1e200, 60) == 0.0
+
+    @pytest.mark.parametrize("sigma_x", [0.0, -1.0, np.nan, np.inf])
+    def test_bound_rejects_bad_sigma_x(self, sigma_x):
+        # 0.0 raised a bare ZeroDivisionError here
+        with pytest.raises(ParameterError, match="sigma_x"):
+            min_eig_tail_bound(0.5, sigma_x, 60)
+
 
 class TestInverseExpectationBound:
     def test_monte_carlo_mean_below_bound(self):
@@ -148,3 +159,13 @@ class TestInverseExpectationBound:
     def test_precondition(self):
         with pytest.raises(ParameterError):
             max_inv_eig_expectation_bound(1.0, 2, 12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sigma_x_too_large_to_square(self):
+        # sigma_x ** 2 on a float raised a bare OverflowError here
+        assert max_inv_eig_expectation_bound(1e200, 2, 60) == 0.0
+
+    @pytest.mark.parametrize("sigma_x", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_sigma_x_rejected(self, sigma_x):
+        with pytest.raises(ParameterError, match="sigma_x"):
+            max_inv_eig_expectation_bound(sigma_x, 2, 60)

@@ -2,10 +2,14 @@
 
 import contextlib
 import copy
+import csv
 import io
 import json
+import math
+import sys
 import tempfile
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +142,56 @@ class TestRandomValidParams:
         params = random_valid_params(3, 1, 1.0, 1.0, 1.0, 1.0, np.random.default_rng(0))
         assert validate_params(params) == []
 
+    @staticmethod
+    def _reference_draw(d, M, B, U, rng):
+        """One model in the documented draw order: norms, directions, mean directions, radii."""
+        p = np.full(M, 1.0 / M)
+        while True:
+            norms = np.exp(rng.uniform(math.log(B / min(4.0, B * B)), math.log(B), size=M))
+            if norm_diversity_factor(p, norms) <= B * B:
+                break
+        dirs = rng.standard_normal((M, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        mu_dirs = rng.standard_normal((M, d))
+        mu_dirs /= np.linalg.norm(mu_dirs, axis=1, keepdims=True)
+        radii = U * rng.random(M) ** (1.0 / d)
+        return norms[:, None] * dirs, radii[:, None] * mu_dirs, p
+
+    @pytest.mark.parametrize("B", [1.0 + 1e-9, 1.0001, 1.5, 1e200])
+    @pytest.mark.parametrize("M", [1, 3, 6])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_batch_draw_matches_one_model_at_a_time(self, d, M, B):
+        # a sweep job draws its models as one batch; each equals, to the bit,
+        # random_valid_params on the same generator and the reference draw
+        keys = [np.random.SeedSequence(17, spawn_key=(t,)) for t in range(5)]
+        stack = experiments._draw_models(
+            d, M, B, 0.7, 1.0, 1.0, [np.random.default_rng(key) for key in keys]
+        )
+        for t, key in enumerate(keys):
+            params = random_valid_params(d, M, B, 0.7, 1.0, 1.0, np.random.default_rng(key))
+            beta, mu, p = self._reference_draw(d, M, B, 0.7, np.random.default_rng(key))
+            for name, expect in [
+                ("beta", beta), ("mu", mu), ("p", p), ("norms", params.beta_norms),
+            ]:
+                assert getattr(stack, name)[t].tobytes() == expect.tobytes(), name
+            for name in ("beta", "mu", "p"):
+                assert getattr(params, name).tobytes() == getattr(stack, name)[t].tobytes()
+        for name in ("sigma_x", "sigma_xi", "B", "U"):
+            assert getattr(stack, name).shape == (5,)
+
+    @pytest.mark.parametrize(
+        "U, sigma_x, sigma_xi, match",
+        [(-1.0, 1.0, 1.0, "U must be positive: -1.0; mean-norm violated"),
+         (1.0, -1.0, 1.0, "sigma_x must be positive"),
+         (1.0, 1.0, -1.0, "sigma_xi must be nonnegative")],
+    )
+    def test_stack_that_fails_a_constraint_rejected(self, U, sigma_x, sigma_xi, match):
+        rngs = [np.random.default_rng(t) for t in range(3)]
+        with pytest.raises(ConfigError, match="generated invalid params: " + match):
+            experiments._draw_models(2, 3, 1.5, U, sigma_x, sigma_xi, rngs)
+        with pytest.raises(ConfigError, match="generated invalid params: " + match):
+            random_valid_params(2, 3, 1.5, U, sigma_x, sigma_xi, rngs[0])
+
 
 class TestRunSweep:
     def test_deterministic_csv_bytes(self, tmp_path):
@@ -210,6 +264,33 @@ class TestRunSweep:
         gates = np.array([e.gate_12d for e in estimates])
         assert not gates.any() if config.n_grid == (45,) else gates.all()
 
+    def test_rejected_norm_draw_is_redrawn_from_the_trials_stream(self, monkeypatch):
+        # a factor that rejects trial 2's first norm draw sends that trial
+        # through the rejection loop: its model, and so its row, changes, but
+        # stays what the single-trial functions give in the same stream
+        config = SweepConfig(n_grid=(2000,), d_grid=(2,), M_grid=(3,), trials=4, seed=41)
+        plain = run_sweep(config).rows
+        seen = []
+
+        def recording(p, norms):
+            seen.append(norms.copy())
+            return norm_diversity_factor(p, norms)
+
+        monkeypatch.setattr(experiments, "norm_diversity_factor", recording)
+        key = np.random.SeedSequence(config.seed, spawn_key=(0, 2, 0))
+        random_valid_params(2, 3, config.B, 1.0, 1.0, 1.0, np.random.default_rng(key))
+        first_draw = seen[0]
+
+        def rejecting(p, norms):
+            rejected = np.array_equal(norms, first_draw)
+            return math.inf if rejected else norm_diversity_factor(p, norms)
+
+        monkeypatch.setattr(experiments, "norm_diversity_factor", rejecting)
+        rows = run_sweep(config).rows
+        expect = [self._single_trial_row(config, 0, (2000, 2, 3), t)[1] for t in range(4)]
+        assert rows == expect
+        assert [row == old for row, old in zip(rows, plain)] == [True, True, False, True]
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_nonpositive_threads_rejected(self, threads):
         config = SweepConfig(n_grid=(300,), d_grid=(2,), M_grid=(2,), trials=1, seed=5)
@@ -246,6 +327,33 @@ class TestRunSweep:
         assert empty.to_csv_text().splitlines() == [
             "# schema=fairlinreg-sweep-3", ",".join(names)
         ]
+
+    @staticmethod
+    def _csv_writer_text(result, schema):
+        """The table as ``csv.writer`` writes it, each float as ``f"{v:.17g}"``."""
+        buf = io.StringIO()
+        buf.write(f"# schema={schema}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(result.columns)
+        for row in result.rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
+        return buf.getvalue()
+
+    def test_csv_text_matches_the_csv_writer(self):
+        table = experiments.SweepResult({
+            "n": np.array([3, -7, 10**12, 0]),
+            "value": np.array([np.inf, -np.inf, np.nan, 1e200]),
+            "small": np.array([-0.0, 1e-310, 0.1, -2.5e-17]),
+            "trial": np.array([0, 1, 2, 3]),
+        })
+        for result in (table, table.select(trial=2), table.select(trial=9)):
+            for schema in ("fairlinreg-sweep-3", "fairlinreg-lower-bound-2"):
+                assert result.to_csv_text(schema) == self._csv_writer_text(result, schema)
+        sweep = run_sweep(
+            SweepConfig(n_grid=(60, 400), d_grid=(2,), M_grid=(3,), trials=3, seed=7, B=1e200)
+        )
+        text = sweep.to_csv_text()
+        assert "inf" in text and text == self._csv_writer_text(sweep, "fairlinreg-sweep-3")
 
     def test_nonnegative_outputs(self):
         result = run_sweep(
@@ -616,6 +724,57 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "Warning" not in err
+
+    def test_repeated_calls_share_one_parser(self, tmp_path, params_file, capsys):
+        # the parser is built on the first call; later calls, whatever their
+        # subcommand, see the same help text and exit codes
+        def exit_of(argv):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            return info.value.code, capsys.readouterr()
+
+        helps = [["--help"], ["sweep", "--help"], ["lower-bound", "--help"], ["fit"], ["bogus"]]
+        first = [exit_of(argv) for argv in helps]
+        assert [code for code, _ in first] == [0, 0, 0, 2, 2]
+        assert first[0][1].out == cli.build_parser.__wrapped__().format_help()
+        bad_sweep = tmp_path / "b.json"
+        bad_sweep.write_text(json.dumps(
+            {"n_grid": [300], "d_grid": [2], "M_grid": [3], "trials": 1, "seed": 4, "B": 0.5}
+        ))
+        calls = [
+            (["sweep", "--config", str(bad_sweep), "--out", str(tmp_path / "s.csv")], 2),
+            (["generate", "--params", str(params_file), "--n", "50",
+              "--out", str(tmp_path / "d.csv")], 0),
+            (["fit", "--data", str(tmp_path / "d.csv"), "--d", "3", "--M", "2",
+              "--out", str(tmp_path / "r.json")], 0),
+            (["lower-bound", "--d", "9", "--M", "0", "--n-grid", "100",
+              "--out", str(tmp_path / "lb.csv")], 2),
+        ]
+        for _ in range(2):
+            assert [main(argv) for argv, _ in calls] == [code for _, code in calls]
+            capsys.readouterr()
+            assert [exit_of(argv) for argv in helps] == first
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_parses_in_many_threads(self):
+        # more threads than cores, switching often: each parse must see only its own argv
+        argvs = [
+            ["generate", "--params", f"p{k}.json", "--n", str(100 + k), "--out", f"d{k}.csv"]
+            if k % 2 else
+            ["lower-bound", "--d", str(k), "--M", "4", "--n-grid", f"{k},2000", "--out", "x"]
+            for k in range(400)
+        ]
+        fresh = cli.build_parser.__wrapped__()
+        expect = [vars(fresh.parse_args(argv)) for argv in argvs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(cli.build_parser().parse_args, argv) for argv in argvs]
+                parsed = [vars(future.result(timeout=60)) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert parsed == expect
 
     @pytest.mark.filterwarnings("error")  # no numpy overflow warning may precede it
     def test_overflowing_draw_is_one_error_line(self, tmp_path, params_file, capsys):
