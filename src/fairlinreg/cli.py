@@ -30,20 +30,16 @@ from .model import (
     Dataset,
     GroupAffineRegressor,
     ModelParams,
+    _check_valid,
     from_dict,
     sample_dataset,
     to_dict,
-    validate_params,
 )
 from .oracle import analytic_excess_risk, build_fdp
 
 
 def _load_params(path: str) -> ModelParams:
-    params = ModelParams.from_json(Path(path).read_text())
-    report = validate_params(params)
-    if report:
-        raise ConfigError("invalid model parameters: " + "; ".join(report))
-    return params
+    return _check_valid(ModelParams.from_json(Path(path).read_text()))
 
 
 def _cmd_generate(args) -> None:

@@ -6,26 +6,26 @@ norm / direction / mean blocks, the other into the intercept's coefficient / mea
 mean blocks, and XᵀX, Xᵀy of the three regression blocks.  The input's type
 picks where they come from:
 
-- a ``Dataset``: ``make_split`` permutes its rows and each block is formed from them;
+- a ``Dataset``: ``make_split`` permutes its rows and each block's statistics
+  are formed from its gathered rows, with the expressions ``ols`` uses;
 - ``CellStats``: the statistics of each group's 3 x 2 table of cells (third i of the
   3-way permutation intersected with half j of the 2-way one), drawn from the
   model by ``sample_cell_stats`` at a cost that does not depend on n.  Every
   block is a union of cells, so its statistics are sums of cell statistics.
 
-Component estimators are gated on per-group sample size; gated-off
-components are zeroed, which can drive the assembled regressor to the zero
-constant on tiny groups.
+Either way ``_estimate`` gates the components on per-group sample size and
+fits every gated block in one batched Gram solve; gated-off components are
+zeroed, which can drive the assembled regressor to the zero constant on tiny
+groups.
 
-Sweeps run many trials at once: ``_draw_cells`` makes one trial's draws
-from a stack of models, then ``_cell_stats`` and ``_fit_cells`` form and fit
-a batch of them.
+Sweeps run many trials at once: ``_sample_cells`` draws a batch of trials'
+cell statistics from a stack of models and ``_fit_cells`` fits them.
 ``sample_cell_stats`` and ``fit`` call the same kernels on a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -35,13 +35,13 @@ from .model import (
     GroupAffineRegressor,
     ModelParams,
     _check_finite,
+    _check_model,
     _dot,
     _frozen_array,
     _ModelStack,
     _norm,
     _rowdot,
     _trial,
-    validate_params,
 )
 from .oracle import _assemble
 
@@ -176,15 +176,6 @@ def _cell_table(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return table
 
 
-def _check_model(params: ModelParams, n: int) -> None:
-    """The entry check of a draw from the model: valid parameters and n >= 1."""
-    report = validate_params(params)
-    if report:
-        raise ParameterError("invalid model parameters: " + "; ".join(report))
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
-
-
 def _draw_cells(models: _ModelStack, i: int, n: int, rng: np.random.Generator) -> tuple:
     """Trial i's random draws for its cell statistics, in ``sample_cell_stats``'s order.
 
@@ -192,7 +183,7 @@ def _draw_cells(models: _ModelStack, i: int, n: int, rng: np.random.Generator) -
     the Bartlett normals (k, d, d) and chi-square variates (k, d), the sum
     normals (k, d) and the noise normals (k, d + 1, 1); and, for each
     smaller cell, its flat index with Σx, XᵀX and Xᵀy of its drawn rows.
-    Callers ignore overflow and invalid values: ``_cell_stats`` rejects them.
+    ``_sample_cells`` ignores overflow and invalid values: ``_cell_stats`` rejects them.
     """
     mu, beta = models.mu[i], models.beta[i]
     sigma_x, sigma_xi = models.sigma_x[i], models.sigma_xi[i]
@@ -261,6 +252,13 @@ def _cell_stats(models: _ModelStack, draws: list[tuple]) -> tuple[np.ndarray, ..
     )
 
 
+def _sample_cells(models: _ModelStack, n: int, rngs: list) -> tuple[np.ndarray, ...]:
+    """(size, total, gram, xty) of n observations from each model, trial i drawn by ``rngs[i]``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = [_draw_cells(models, i, n, rng) for i, rng in enumerate(rngs)]
+    return _cell_stats(models, draws)
+
+
 def sample_cell_stats(
     params: ModelParams, n: int, seed: int | np.random.SeedSequence
 ) -> CellStats:
@@ -285,10 +283,8 @@ def sample_cell_stats(
     This is a batch of one of the kernels that sweeps run on many trials.
     """
     _check_model(params, n)
-    models = _ModelStack.of([params])
-    with np.errstate(over="ignore", invalid="ignore"):
-        draw = _draw_cells(models, 0, n, np.random.default_rng(seed))
-    size, total, gram, xty = _cell_stats(models, [draw])
+    rngs = [np.random.default_rng(seed)]
+    size, total, gram, xty = _sample_cells(_ModelStack.of([params]), n, rngs)
     return CellStats(size=size[0], total=total[0], gram=gram[0], xty=xty[0])
 
 
@@ -310,41 +306,26 @@ class ComponentEstimates:
     gate_12d: np.ndarray       # (M,) bool: n_s > 12 d
 
 
-def _row_coefficients(data: Dataset, blocks: list, gated: np.ndarray) -> np.ndarray:
-    """One ``ols`` on the rows of each gated regression block of a batch of one."""
-    coef = np.zeros(gated.shape + (data.d,))
-    for s, k in zip(*np.nonzero(gated[0])):
-        # np.take gathers whole rows; x[idx] took about 4x longer on (n, d) arrays
-        idx = blocks[s][REGRESSION_BLOCKS[k]]
-        coef[0, s, k] = ols(np.take(data.x, idx, axis=0), np.take(data.y, idx))
-    return coef
-
-
-def _gram_coefficients(gram: np.ndarray, xty: np.ndarray, gated: np.ndarray) -> np.ndarray:
-    """One batched solve of the gated blocks' normal equations."""
-    coef = np.zeros(xty.shape)
-    coef[gated] = _solve_normal_equations(gram[gated], xty[gated])
-    return coef
-
-
 def _estimate(
-    sizes: np.ndarray, mean_sums: np.ndarray, coefficients
+    sizes: np.ndarray, mean_sums: np.ndarray, gram: np.ndarray, xty: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, ComponentEstimates]:
     """The step of ``fit`` that both routes share: gates, gated solves, assembly.
 
     For T trials at once: ``sizes`` (T, M, 5) counts the rows of each
-    group's five blocks and ``mean_sums`` (T, M, 2, d) holds Σx of its two
-    mean blocks.  ``coefficients(gated)`` returns the (T, M, 3, d) OLS
-    coefficients of the norm, direction and coefficient blocks where
-    ``gated`` is True, zeros elsewhere.  Returns the regressors' w (T, M, d)
-    and b (T, M) and the estimates, each with the leading trial axis.
+    group's five blocks, ``mean_sums`` (T, M, 2, d) holds Σx of its two
+    mean blocks, and ``gram`` (T, M, 3, d, d) and ``xty`` (T, M, 3, d) hold
+    XᵀX and Xᵀy of its norm, direction and coefficient blocks.  The gated
+    blocks are solved as one stack and the others are never read.  Returns the
+    regressors' w (T, M, d) and b (T, M) and the estimates, each per trial.
     """
     d = mean_sums.shape[-1]
     counts = sizes[..., :3].sum(axis=-1)
     p_hat = counts / counts.sum(axis=-1, keepdims=True)
     gate_18d = counts > 18 * d
     gate_12d = counts > 12 * d
-    coef = coefficients(np.stack([gate_18d, gate_18d, gate_12d], axis=-1))
+    gated = np.stack([gate_18d, gate_18d, gate_12d], axis=-1)
+    coef = np.zeros(xty.shape)
+    coef[gated] = _solve_normal_equations(gram[gated], xty[gated])
 
     norm_hat_s = _norm(coef[..., 0, :])
     b2_norm = _norm(coef[..., 1, :])[..., None]
@@ -379,16 +360,35 @@ def _fit_cells(
     size: np.ndarray, total: np.ndarray, gram: np.ndarray, xty: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, ComponentEstimates]:
     """``fit`` on T trials' cell statistics, each with a leading trial axis, as one batch."""
-
-    def block_sums(a):  # each third is a row of a group's cell table, each half a column
-        return np.concatenate([a.sum(axis=3), a.sum(axis=2)], axis=2)
-
-    coefficients = partial(
-        _gram_coefficients,
-        block_sums(gram)[:, :, REGRESSION_BLOCKS],
-        block_sums(xty)[:, :, REGRESSION_BLOCKS],
+    # each third is a row of a group's cell table, each half a column
+    size, total, gram, xty = (
+        np.concatenate([a.sum(axis=3), a.sum(axis=2)], axis=2) for a in (size, total, gram, xty)
     )
-    return _estimate(block_sums(size), block_sums(total)[:, :, MEAN_BLOCKS], coefficients)
+    return _estimate(
+        size, total[:, :, MEAN_BLOCKS], gram[:, :, REGRESSION_BLOCKS], xty[:, :, REGRESSION_BLOCKS]
+    )
+
+
+def _block_stats(data: Dataset, split: SplitPlan) -> tuple[np.ndarray, ...]:
+    """``_estimate``'s statistics of a split ``Dataset``, each block's rows gathered once.
+
+    XᵀX and Xᵀy are the expressions ``ols`` forms.  Overflow is ignored: a
+    gated-off block is never read, and a gated one that overflows fails its gate.
+    """
+    M, d = data.M, data.d
+    sizes = np.empty((M, 5), dtype=np.int64)
+    mean_sums, gram, xty = np.empty((M, 2, d)), np.empty((M, 3, d, d)), np.empty((M, 3, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(M):
+            blocks = split.blocks(s)
+            sizes[s] = [len(idx) for idx in blocks]
+            # np.take gathers whole rows; x[idx] took about 4x longer on (n, d) arrays
+            x = [np.take(data.x, idx, axis=0) for idx in blocks]
+            mean_sums[s] = [x[k].sum(axis=0) for k in MEAN_BLOCKS]
+            for j, k in enumerate(REGRESSION_BLOCKS):
+                gram[s, j] = x[k].T @ x[k]
+                xty[s, j] = x[k].T @ np.take(data.y, blocks[k])
+    return sizes, mean_sums, gram, xty
 
 
 def fit(
@@ -396,23 +396,19 @@ def fit(
 ) -> tuple[GroupAffineRegressor, ComponentEstimates]:
     """Fit the plugin estimator on data generated with the declared (d, M).
 
-    A ``Dataset`` is split by ``make_split(data, seed)``.  ``CellStats`` were
-    split when drawn, so ``seed`` is not used for them.
+    A ``Dataset`` needs at least one row and is split by ``make_split(data,
+    seed)``.  ``CellStats`` were split when drawn, so ``seed`` is not used
+    for them.
     """
     if data.d != d or data.M != M:
         raise DimensionError(
             f"data have (d, M) = ({data.d}, {data.M}), expected ({d}, {M})"
         )
     if isinstance(data, Dataset):
-        split = make_split(data, seed)
-        blocks = [split.blocks(s) for s in range(M)]
-        sizes = np.array([[len(b) for b in group] for group in blocks])
-        mean_sums = np.array(
-            [[np.take(data.x, group[k], axis=0).sum(axis=0) for k in MEAN_BLOCKS] for group in blocks]
-        ).reshape(M, 2, d)
-        w, b, estimates = _estimate(
-            sizes[None], mean_sums[None], partial(_row_coefficients, data, blocks)
-        )
+        if data.n < 1:
+            raise ParameterError("dataset must hold at least one row")
+        stats = _block_stats(data, make_split(data, seed))
+        w, b, estimates = _estimate(*(a[None] for a in stats))
     else:
         cells = (data.size, data.total, data.gram, data.xty)
         w, b, estimates = _fit_cells(*(a[None] for a in cells))

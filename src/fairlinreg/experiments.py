@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .estimator import ComponentEstimates, _cell_stats, _check_model, _draw_cells, _fit_cells
+from .estimator import ComponentEstimates, _fit_cells, _sample_cells
 from .estimator import fit  # noqa: F401  unused here; perfbench's tracer test patches this alias
 from .lower_bound import (
     _packing_B_s,
@@ -33,6 +33,7 @@ from .metrics import UnfairnessReport, _unfairness
 from .model import (
     ModelParams,
     _as_batch,
+    _check_model,
     _dot,
     _is_finite_real,
     _is_int,
@@ -256,16 +257,8 @@ def _fit_trials(models: _ModelStack, n: int, seed: int, keys: list[tuple]) -> tu
     Returns the analytic excess risks, the fitted w and b, and the
     estimates, each with a leading trial axis.
     """
-    # a draw that overflows is rejected as non-finite by _cell_stats
-    with np.errstate(over="ignore", invalid="ignore"):
-        draws = [
-            _draw_cells(
-                models, i, n,
-                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, 1))),
-            )
-            for i, key in enumerate(keys)
-        ]
-    w, b, estimates = _fit_cells(*_cell_stats(models, draws))
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*k, 1))) for k in keys]
+    w, b, estimates = _fit_cells(*_sample_cells(models, n, rngs))
     _, _, oracle_w, oracle_b = _fair(models)
     return _l2_distance(w - oracle_w, b - oracle_b, models), w, b, estimates
 

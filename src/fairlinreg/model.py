@@ -214,6 +214,21 @@ def validate_params(params: ModelParams) -> list[str]:
     return _report(_violations(_ModelStack.of([params])), 0)
 
 
+def _check_valid(params: ModelParams) -> ModelParams:
+    """``params`` itself, once ``validate_params`` reports no violation."""
+    report = validate_params(params)
+    if report:
+        raise ParameterError("invalid model parameters: " + "; ".join(report))
+    return params
+
+
+def _check_model(params: ModelParams, n: int) -> None:
+    """The entry check of a draw from the model: valid parameters and n >= 1."""
+    _check_valid(params)
+    if n < 1:
+        raise ParameterError(f"n must be positive, got {n}")
+
+
 def _violations(models: _ModelStack) -> list[tuple[np.ndarray, str, tuple]]:
     """Every constraint on T models as (violated, message, measured values), each per model.
 
@@ -228,7 +243,7 @@ def _violations(models: _ModelStack) -> list[tuple[np.ndarray, str, tuple]]:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         factor = np.where(positive, norm_diversity_factor(p, norms), np.nan)
         B2 = B * B  # reads inf above ~1.3e154
-    max_mu = np.linalg.norm(models.mu, axis=2).max(axis=1)
+    max_mu = _norm(models.mu).max(axis=1)
     return [
         (np.abs(psum - 1.0) > PROB_TOL,
          "group probabilities must sum to 1: sum(p) = {!r}", (psum,)),
@@ -375,11 +390,7 @@ def sample_dataset(
     changes no statistic.  A draw that overflows is rejected as non-finite
     by the ``Dataset`` constructor.
     """
-    report = validate_params(params)
-    if report:
-        raise ParameterError("invalid model parameters: " + "; ".join(report))
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    _check_model(params, n)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, params.p)
     s = np.repeat(np.arange(params.M, dtype=np.int64), counts)

@@ -152,6 +152,35 @@ class TestFit:
         assert np.all(estimates.beta_prime_hat == 0.0)
         assert np.all(estimates.mu_prime_hat == 0.0)
 
+    @pytest.mark.filterwarnings("error")  # rejected before any division warns
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(x=np.zeros((0, 2)), s=np.zeros(0, dtype=np.int64), y=np.zeros(0), M=2)
+        with pytest.raises(ParameterError, match="at least one row"):
+            fit(empty, 2, 2, seed=0)
+
+    @staticmethod
+    def _huge_second_group(n_huge):
+        # group 0: 300 standard rows; group 1: n_huge rows near 1e200, whose
+        # XᵀX overflows
+        rng = np.random.default_rng(23)
+        huge = 1e200 * (1.0 + rng.standard_normal((n_huge, 2)))
+        x = np.vstack([rng.standard_normal((300, 2)), huge])
+        s = np.repeat([0, 1], [300, n_huge])
+        return Dataset(x=x, s=s, y=x @ np.ones(2), M=2)
+
+    @pytest.mark.filterwarnings("error")  # a gated-off block is never formed into a solve
+    def test_gated_off_huge_group_fits_without_warning(self):
+        regressor, estimates = fit(self._huge_second_group(20), 2, 2, seed=24)  # 20 <= 12d
+        assert estimates.gate_18d.tolist() == [True, False]
+        assert not estimates.gate_12d[1]
+        assert np.all(np.isfinite(regressor.w)) and np.all(np.isfinite(regressor.b))
+        assert np.all(regressor.w[1] == 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_gated_huge_group_raises_singular(self):
+        with pytest.raises(SingularMatrixError, match="condition estimate"):
+            fit(self._huge_second_group(200), 2, 2, seed=24)  # 200 > 18d
+
     def test_determinism(self):
         rng = np.random.default_rng(9)
         params = random_valid_params(3, 2, 2.0, 1.0, 1.0, 1.0, rng)

@@ -23,6 +23,7 @@ from fairlinreg import (
     DegenerateDirectionError,
     DimensionError,
     FairRegressionError,
+    ModelParams,
     ParameterError,
     SingularMatrixError,
     SweepConfig,
@@ -775,6 +776,23 @@ class TestCli:
         finally:
             sys.setswitchinterval(interval)
         assert parsed == expect
+
+    def test_invalid_params_share_one_message(self, tmp_path, params_file, capsys):
+        obj = {**json.loads(params_file.read_text()), "B": 0.5}
+        params = tmp_path / "bad_B.json"
+        params.write_text(json.dumps(obj))
+        invalid = ModelParams.from_json(json.dumps(obj))
+        messages = []
+        for draw in (sample_dataset, sample_cell_stats):
+            with pytest.raises(ParameterError) as exc:
+                draw(invalid, 100, 0)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("invalid model parameters: max-norm violated")
+        assert main(
+            ["generate", "--params", str(params), "--n", "100", "--out", str(tmp_path / "d.csv")]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {messages[0]}\n"
 
     @pytest.mark.filterwarnings("error")  # no numpy overflow warning may precede it
     def test_overflowing_draw_is_one_error_line(self, tmp_path, params_file, capsys):

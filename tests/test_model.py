@@ -53,6 +53,15 @@ class TestValidateParams:
         report = validate_params(params)
         assert any("mean-norm violated" in line for line in report)
 
+    @pytest.mark.filterwarnings("error")  # no overflow warning either
+    def test_huge_mean_norms_measured_without_overflow(self):
+        # ||mu_s||^2 overflows above ~1.3e154; the norm itself does not
+        mu = [[1e200, 0.0], [0.0, -2e200]]
+        params = make_params([[1.0, 0.0], [0.0, 1.0]], mu=mu, U=1e201)
+        assert validate_params(params) == []
+        report = validate_params(dataclasses.replace(params, U=1e200))
+        assert report == ["mean-norm violated: max_s ||mu_s|| = 2e+200 > U = 1e+200"]
+
     def test_probability_sum_checked(self):
         params = make_params([[1.0], [1.0]], p=[0.6, 0.6])
         assert any("sum to 1" in line for line in validate_params(params))
