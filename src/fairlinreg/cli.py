@@ -30,7 +30,7 @@ from .model import (
     Dataset,
     GroupAffineRegressor,
     ModelParams,
-    _check_valid,
+    _check_model,
     from_dict,
     sample_dataset,
     to_dict,
@@ -39,7 +39,7 @@ from .oracle import analytic_excess_risk, build_fdp
 
 
 def _load_params(path: str) -> ModelParams:
-    return _check_valid(ModelParams.from_json(Path(path).read_text()))
+    return _check_model(ModelParams.from_json(Path(path).read_text()), n=1)
 
 
 def _cmd_generate(args) -> None:

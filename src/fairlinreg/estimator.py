@@ -2,21 +2,21 @@
 
 Each group's rows are permuted twice, independently: one permutation is cut into
 norm / direction / mean blocks, the other into the intercept's coefficient / mean blocks.
-``fit`` reads a block only through its statistics: its row count, Σx of the two
-mean blocks, and XᵀX, Xᵀy of the three regression blocks.  The input's type
-picks where they come from:
+``_gated`` gates the components on per-group sample size; gated-off blocks are
+never solved and their components are zeroed, which can drive the assembled
+regressor to the zero constant on tiny groups.  The input's type picks how
+the gated regression blocks are fitted:
 
-- a ``Dataset``: ``make_split`` permutes its rows and each block's statistics
-  are formed from its gathered rows, with the expressions ``ols`` uses;
+- a ``Dataset``: ``make_split`` permutes its rows and each gated block's
+  gathered rows get one ``ols``;
 - ``CellStats``: the statistics of each group's 3 x 2 table of cells (third i of the
   3-way permutation intersected with half j of the 2-way one), drawn from the
   model by ``sample_cell_stats`` at a cost that does not depend on n.  Every
-  block is a union of cells, so its statistics are sums of cell statistics.
+  block is a union of cells, so its XᵀX and Xᵀy are sums of cell statistics,
+  and the gated blocks are solved in one batched Gram solve.
 
-Either way ``_estimate`` gates the components on per-group sample size and
-fits every gated block in one batched Gram solve; gated-off components are
-zeroed, which can drive the assembled regressor to the zero constant on tiny
-groups.
+Either way ``_estimate`` assembles the regressor from the block sizes, the
+mean blocks' Σx and the regression blocks' coefficients.
 
 Sweeps run many trials at once: ``_sample_cells`` draws a batch of trials'
 cell statistics from a stack of models and ``_fit_cells`` fits them.
@@ -306,26 +306,34 @@ class ComponentEstimates:
     gate_12d: np.ndarray       # (M,) bool: n_s > 12 d
 
 
+def _gated(sizes: np.ndarray, d: int) -> np.ndarray:
+    """Which of each group's norm, direction and coefficient blocks ``fit`` solves, (T, M, 3).
+
+    ``sizes`` (T, M, 5) counts the rows of each group's five blocks.  The norm
+    and direction blocks need n_s > 18 d rows in the group, the coefficient
+    block n_s > 12 d.
+    """
+    counts = sizes[..., :3].sum(axis=-1)
+    return np.stack([counts > 18 * d, counts > 18 * d, counts > 12 * d], axis=-1)
+
+
 def _estimate(
-    sizes: np.ndarray, mean_sums: np.ndarray, gram: np.ndarray, xty: np.ndarray
+    sizes: np.ndarray, mean_sums: np.ndarray, coef: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, ComponentEstimates]:
-    """The step of ``fit`` that both routes share: gates, gated solves, assembly.
+    """The step of ``fit`` that both routes share: the estimates and their assembly.
 
     For T trials at once: ``sizes`` (T, M, 5) counts the rows of each
     group's five blocks, ``mean_sums`` (T, M, 2, d) holds Σx of its two
-    mean blocks, and ``gram`` (T, M, 3, d, d) and ``xty`` (T, M, 3, d) hold
-    XᵀX and Xᵀy of its norm, direction and coefficient blocks.  The gated
-    blocks are solved as one stack and the others are never read.  Returns the
-    regressors' w (T, M, d) and b (T, M) and the estimates, each per trial.
+    mean blocks, and ``coef`` (T, M, 3, d) the OLS coefficients of its norm,
+    direction and coefficient blocks where ``_gated`` is True, zeros
+    elsewhere.  Returns the regressors' w (T, M, d) and b (T, M) and the
+    estimates, each per trial.
     """
     d = mean_sums.shape[-1]
     counts = sizes[..., :3].sum(axis=-1)
     p_hat = counts / counts.sum(axis=-1, keepdims=True)
-    gate_18d = counts > 18 * d
-    gate_12d = counts > 12 * d
-    gated = np.stack([gate_18d, gate_18d, gate_12d], axis=-1)
-    coef = np.zeros(xty.shape)
-    coef[gated] = _solve_normal_equations(gram[gated], xty[gated])
+    gated = _gated(sizes, d)
+    gate_18d, gate_12d = gated[..., 0], gated[..., 2]
 
     norm_hat_s = _norm(coef[..., 0, :])
     b2_norm = _norm(coef[..., 1, :])[..., None]
@@ -364,31 +372,28 @@ def _fit_cells(
     size, total, gram, xty = (
         np.concatenate([a.sum(axis=3), a.sum(axis=2)], axis=2) for a in (size, total, gram, xty)
     )
-    return _estimate(
-        size, total[:, :, MEAN_BLOCKS], gram[:, :, REGRESSION_BLOCKS], xty[:, :, REGRESSION_BLOCKS]
-    )
+    gram, xty = gram[:, :, REGRESSION_BLOCKS], xty[:, :, REGRESSION_BLOCKS]
+    gated = _gated(size, total.shape[-1])
+    coef = np.zeros(xty.shape)
+    coef[gated] = _solve_normal_equations(gram[gated], xty[gated])
+    return _estimate(size, total[:, :, MEAN_BLOCKS], coef)
 
 
-def _block_stats(data: Dataset, split: SplitPlan) -> tuple[np.ndarray, ...]:
-    """``_estimate``'s statistics of a split ``Dataset``, each block's rows gathered once.
-
-    XᵀX and Xᵀy are the expressions ``ols`` forms.  Overflow is ignored: a
-    gated-off block is never read, and a gated one that overflows fails its gate.
-    """
+def _fit_rows(data: Dataset, split: SplitPlan) -> tuple[np.ndarray, np.ndarray, ComponentEstimates]:
+    """``fit`` on a split ``Dataset`` as a batch of one: one ``ols`` per gated regression block."""
     M, d = data.M, data.d
-    sizes = np.empty((M, 5), dtype=np.int64)
-    mean_sums, gram, xty = np.empty((M, 2, d)), np.empty((M, 3, d, d)), np.empty((M, 3, d))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(M):
-            blocks = split.blocks(s)
-            sizes[s] = [len(idx) for idx in blocks]
-            # np.take gathers whole rows; x[idx] took about 4x longer on (n, d) arrays
-            x = [np.take(data.x, idx, axis=0) for idx in blocks]
-            mean_sums[s] = [x[k].sum(axis=0) for k in MEAN_BLOCKS]
-            for j, k in enumerate(REGRESSION_BLOCKS):
-                gram[s, j] = x[k].T @ x[k]
-                xty[s, j] = x[k].T @ np.take(data.y, blocks[k])
-    return sizes, mean_sums, gram, xty
+    blocks = [split.blocks(s) for s in range(M)]
+    sizes = np.array([[len(idx) for idx in group] for group in blocks])[None]
+    # np.take gathers whole rows; x[idx] took about 4x longer on (n, d) arrays
+    mean_sums = np.array(
+        [[np.take(data.x, group[k], axis=0).sum(axis=0) for k in MEAN_BLOCKS] for group in blocks]
+    ).reshape(1, M, 2, d)
+    coef = np.zeros((1, M, 3, d))
+    with np.errstate(over="ignore", invalid="ignore"):  # an XᵀX that overflows fails its gate
+        for s, j in zip(*np.nonzero(_gated(sizes, d)[0])):
+            idx = blocks[s][REGRESSION_BLOCKS[j]]
+            coef[0, s, j] = ols(np.take(data.x, idx, axis=0), np.take(data.y, idx))
+    return _estimate(sizes, mean_sums, coef)
 
 
 def fit(
@@ -407,8 +412,7 @@ def fit(
     if isinstance(data, Dataset):
         if data.n < 1:
             raise ParameterError("dataset must hold at least one row")
-        stats = _block_stats(data, make_split(data, seed))
-        w, b, estimates = _estimate(*(a[None] for a in stats))
+        w, b, estimates = _fit_rows(data, make_split(data, seed))
     else:
         cells = (data.size, data.total, data.gram, data.xty)
         w, b, estimates = _fit_cells(*(a[None] for a in cells))

@@ -214,19 +214,14 @@ def validate_params(params: ModelParams) -> list[str]:
     return _report(_violations(_ModelStack.of([params])), 0)
 
 
-def _check_valid(params: ModelParams) -> ModelParams:
-    """``params`` itself, once ``validate_params`` reports no violation."""
+def _check_model(params: ModelParams, n: int) -> ModelParams:
+    """The entry check of a draw from the model: valid ``params``, returned, and n >= 1."""
     report = validate_params(params)
     if report:
         raise ParameterError("invalid model parameters: " + "; ".join(report))
-    return params
-
-
-def _check_model(params: ModelParams, n: int) -> None:
-    """The entry check of a draw from the model: valid parameters and n >= 1."""
-    _check_valid(params)
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
+    return params
 
 
 def _violations(models: _ModelStack) -> list[tuple[np.ndarray, str, tuple]]:

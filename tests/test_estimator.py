@@ -181,6 +181,22 @@ class TestFit:
         with pytest.raises(SingularMatrixError, match="condition estimate"):
             fit(self._huge_second_group(200), 2, 2, seed=24)  # 200 > 18d
 
+    def test_singular_message_names_the_first_failing_block(self):
+        # both groups pass the gates; group 0's second column is 1e-7 times
+        # its first (condition ~1e14), group 1's is zero (condition inf)
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((400, 2))
+        x[:200, 1] *= 1e-7
+        x[200:, 1] = 0.0
+        data = Dataset(x=x, s=np.repeat([0, 1], 200), y=x[:, 0], M=2)
+        rows = make_split(data, seed=30).blocks(0)[0]  # group 0's norm block
+        with pytest.raises(SingularMatrixError) as first:
+            ols(x[rows], x[rows, 0])
+        assert "inf" not in str(first.value)
+        with pytest.raises(SingularMatrixError) as exc:
+            fit(data, 2, 2, seed=30)
+        assert str(exc.value) == str(first.value)
+
     def test_determinism(self):
         rng = np.random.default_rng(9)
         params = random_valid_params(3, 2, 2.0, 1.0, 1.0, 1.0, rng)
