@@ -19,8 +19,10 @@ Either way ``_estimate`` assembles the regressor from the block sizes, the
 mean blocks' Σx and the regression blocks' coefficients.
 
 Sweeps run many trials at once: ``_sample_cells`` draws a batch of trials'
-cell statistics from a stack of models and ``_fit_cells`` fits them.
-``sample_cell_stats`` and ``fit`` call the same kernels on a batch of one.
+cell statistics, each trial with its own model, n and generator, and
+``_fit_cells`` fits them.  The draws take one pass over the generators, and
+the arithmetic between them runs once for the batch.  ``sample_cell_stats``
+and ``fit`` call the same kernels on a batch of one.
 """
 
 from __future__ import annotations
@@ -162,50 +164,64 @@ class CellStats:
         return int(self.size.sum())
 
 
-def _cell_table(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """(M, 3, 2) cell sizes of a random split of groups with these row counts.
+def _cell_table(counts: np.ndarray, rngs: list) -> np.ndarray:
+    """(T, M, 3, 2) cell sizes of a random split of each trial's groups, with (T, M) row counts.
 
-    Half 0 of the 2-way permutation is a uniform subset of its size, so the
-    number of its rows in each third is multivariate hypergeometric.
+    Half 0 of a group's 2-way permutation is a uniform subset of its size, so
+    the number of its rows in each third is multivariate hypergeometric.
+    Trial t's M draws come from ``rngs[t]``.
     """
     thirds = _split_sizes(counts, 3)
-    table = np.empty((len(counts), 3, 2), dtype=np.int64)
-    for s, half in enumerate(_split_sizes(counts, 2)[:, 0].tolist()):
-        table[s, :, 0] = rng.multivariate_hypergeometric(thirds[s], half)
-    table[:, :, 1] = thirds - table[:, :, 0]
+    halves = _split_sizes(counts, 2)[..., 0].tolist()
+    table = np.empty(thirds.shape + (2,), dtype=np.int64)
+    for t, rng in enumerate(rngs):
+        for s, half in enumerate(halves[t]):
+            table[t, s, :, 0] = rng.multivariate_hypergeometric(thirds[t, s], half)
+    table[..., 1] = thirds - table[..., 0]
     return table
 
 
-def _draw_cells(models: _ModelStack, i: int, n: int, rng: np.random.Generator) -> tuple:
-    """Trial i's random draws for its cell statistics, in ``sample_cell_stats``'s order.
+def _draw_cells(models: _ModelStack, ns, rngs: list) -> tuple:
+    """The random draws for the cell statistics of ``ns[t]`` observations from model t.
 
-    Returns the (M, 3, 2) cell table; for the k cells of m >= d + 1 rows,
-    the Bartlett normals (k, d, d) and chi-square variates (k, d), the sum
-    normals (k, d) and the noise normals (k, d + 1, 1); and, for each
-    smaller cell, its flat index with Σx, XᵀX and Xᵀy of its drawn rows.
-    ``_sample_cells`` ignores overflow and invalid values: ``_cell_stats`` rejects them.
+    Generator ``rngs[t]`` draws trial t's values in ``sample_cell_stats``'s
+    order; the arithmetic between the draws runs once for all trials.
+    Returns the (T, M, 3, 2) cell table; for the K cells of m >= d + 1 rows,
+    in (trial, group, third, half) order, the Bartlett normals (K, d, d) and
+    chi-square variates (K, d), the sum normals (K, d) and the noise normals
+    (K, d + 1, 1); and, for each smaller cell, its flat index with Σx, XᵀX
+    and Xᵀy of its drawn rows.  ``_sample_cells`` ignores overflow and
+    invalid values: ``_cell_stats`` rejects them.
     """
-    mu, beta = models.mu[i], models.beta[i]
-    sigma_x, sigma_xi = models.sigma_x[i], models.sigma_xi[i]
-    d = mu.shape[1]
-    table = _cell_table(rng.multinomial(n, models.p[i]), rng)
-    m = table.reshape(-1)  # cells in (group, third, half) order
+    T, M, d = models.mu.shape
+    counts = np.stack([rng.multinomial(n, p) for n, p, rng in zip(ns, models.p, rngs)])
+    table = _cell_table(counts, rngs)
+    m = table.reshape(-1)  # cells in (trial, group, third, half) order
     big = m > d
-    k = int(big.sum())
-    bartlett = rng.standard_normal((k, d, d))
-    chi2 = rng.chisquare(m[big, None] - 1.0 - np.arange(d))
-    sums = rng.standard_normal((k, d))
-    noise = rng.standard_normal((k, d + 1, 1))
+    dof = m[big, None] - 1.0 - np.arange(d)
+    K = len(dof)
+    bartlett, noise = np.empty((K, d, d)), np.empty((K, d + 1, 1))
+    chi2, sums = np.empty((K, d)), np.empty((K, d))
+    start = 0
+    for rng, k in zip(rngs, big.reshape(T, -1).sum(axis=1).tolist()):
+        part = slice(start, start + k)
+        rng.standard_normal(out=bartlett[part])
+        chi2[part] = rng.chisquare(dof[part])
+        rng.standard_normal(out=sums[part])
+        rng.standard_normal(out=noise[part])
+        start += k
+    # each generator draws its small cells after its big ones, as a trial alone does
     small = []
-    for cell in np.flatnonzero((m > 0) & ~big):
-        group = cell // 6
-        x = mu[group] + sigma_x * rng.standard_normal((m[cell], d))
-        y = x @ beta[group] + sigma_xi * rng.standard_normal(m[cell])
+    for cell in np.flatnonzero((m > 0) & ~big).tolist():
+        t, group = divmod(cell // 6, M)
+        rng, mu, beta = rngs[t], models.mu[t, group], models.beta[t, group]
+        x = mu + models.sigma_x[t] * rng.standard_normal((m[cell], d))
+        y = x @ beta + models.sigma_xi[t] * rng.standard_normal(m[cell])
         small.append((cell, x.sum(axis=0), x.T @ x, x.T @ y))
     return table, bartlett, chi2, sums, noise, small
 
 
-def _cell_stats(models: _ModelStack, draws: list[tuple]) -> tuple[np.ndarray, ...]:
+def _cell_stats(models: _ModelStack, draws: tuple) -> tuple[np.ndarray, ...]:
     """(size, total, gram, xty) of T trials' ``_draw_cells`` draws, each (T, M, 3, 2[, d[, d]]).
 
     Every trial's big cells are formed at once; the arithmetic of a cell
@@ -213,7 +229,7 @@ def _cell_stats(models: _ModelStack, draws: list[tuple]) -> tuple[np.ndarray, ..
     raises ``ParameterError``, as the ``CellStats`` constructor does.
     """
     T, M, d = models.mu.shape
-    table = np.stack([draw[0] for draw in draws])
+    table, bartlett, chi2, sums, noise, small = draws
     m = table.reshape(-1)  # cells in (trial, group, third, half) order
     big = m > d
     # each group's mean and coefficients, and each trial's sigmas, once per big cell
@@ -221,7 +237,6 @@ def _cell_stats(models: _ModelStack, draws: list[tuple]) -> tuple[np.ndarray, ..
     sigma_x, sigma_xi = (
         np.repeat(a, 6 * M)[big, None, None] for a in (models.sigma_x, models.sigma_xi)
     )
-    chi2, sums, noise = (np.concatenate([draw[i] for draw in draws]) for i in range(2, 5))
     total = np.zeros((m.size, d))
     gram = np.zeros((m.size, d, d))
     xty = np.zeros((m.size, d))
@@ -229,8 +244,7 @@ def _cell_stats(models: _ModelStack, draws: list[tuple]) -> tuple[np.ndarray, ..
     with np.errstate(over="ignore", invalid="ignore"):
         f = np.empty((len(sums), d, d + 1))  # F = [sigma_x A | c], built in place
         a = f[:, :, :d]
-        np.concatenate([draw[1] for draw in draws], out=a)
-        a *= np.tri(d, k=-1)
+        np.multiply(bartlett, np.tri(d, k=-1), out=a)
         a[:, diag, diag] = np.sqrt(chi2)
         a *= sigma_x
         root_m = np.sqrt(m[big, None])
@@ -239,10 +253,8 @@ def _cell_stats(models: _ModelStack, draws: list[tuple]) -> tuple[np.ndarray, ..
         gram[big] = big_gram = f @ f.transpose(0, 2, 1)
         total[big] = root_m * c
         xty[big] = (big_gram @ beta[:, :, None] + sigma_xi * (f @ noise))[..., 0]
-    for trial, draw in enumerate(draws):
-        for cell, *stats in draw[5]:
-            i = trial * 6 * M + cell
-            total[i], gram[i], xty[i] = stats
+    for cell, *stats in small:
+        total[cell], gram[cell], xty[cell] = stats
     shape = (T, M, 3, 2)
     return (
         table,
@@ -252,10 +264,10 @@ def _cell_stats(models: _ModelStack, draws: list[tuple]) -> tuple[np.ndarray, ..
     )
 
 
-def _sample_cells(models: _ModelStack, n: int, rngs: list) -> tuple[np.ndarray, ...]:
-    """(size, total, gram, xty) of n observations from each model, trial i drawn by ``rngs[i]``."""
+def _sample_cells(models: _ModelStack, ns, rngs: list) -> tuple[np.ndarray, ...]:
+    """(size, total, gram, xty) of ``ns[t]`` observations from model t, drawn by ``rngs[t]``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        draws = [_draw_cells(models, i, n, rng) for i, rng in enumerate(rngs)]
+        draws = _draw_cells(models, ns, rngs)
     return _cell_stats(models, draws)
 
 
@@ -284,7 +296,7 @@ def sample_cell_stats(
     """
     _check_model(params, n)
     rngs = [np.random.default_rng(seed)]
-    size, total, gram, xty = _sample_cells(_ModelStack.of([params]), n, rngs)
+    size, total, gram, xty = _sample_cells(_ModelStack.of([params]), [n], rngs)
     return CellStats(size=size[0], total=total[0], gram=gram[0], xty=xty[0])
 
 

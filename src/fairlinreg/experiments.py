@@ -4,7 +4,8 @@ Sweeps iterate a (n, d, M) grid, fit the plugin estimator on freshly
 drawn cell statistics per trial, and record analytic excess risk, unfairness
 scores, and the per-component error terms whose individual 1/n rates
 drive the overall bound.  Each trial draws from its own seed sequences;
-after the draws, a cell's trials are fitted and scored as one batch whose
+after the draws, a job's trials (up to ``TRIAL_BATCH`` rows of consecutive
+cells that share (d, M)) are fitted and scored as one batch whose
 arithmetic per trial does not depend on the batch, so results are
 byte-identical regardless of batch size and worker count.
 """
@@ -50,9 +51,10 @@ from .oracle import _fair, _l2_distance
 SWEEP_SCHEMA = "fairlinreg-sweep-3"
 LOWER_BOUND_SCHEMA = "fairlinreg-lower-bound-2"
 
-# Most trials fitted and scored as one batch: a sweep job is one batch of a
-# cell's trials.  A trial's arithmetic does not depend on its batch, so
-# neither do the outputs; the bound caps a batch's memory.
+# Most trials fitted and scored as one batch: a sweep job is one batch of
+# the rows of consecutive cells that share (d, M).  A trial's arithmetic does
+# not depend on its batch, so neither do the outputs; the bound caps a
+# batch's memory.
 TRIAL_BATCH = 64
 
 
@@ -249,39 +251,67 @@ def _batches(trials: int) -> list[range]:
     return [range(start, min(start + TRIAL_BATCH, trials)) for start in starts]
 
 
-def _fit_trials(models: _ModelStack, n: int, seed: int, keys: list[tuple]) -> tuple:
+def _jobs(cells: list[tuple], trials: int) -> list[list[tuple]]:
+    """A sweep's (cell, trial) rows, in CSV order, cut into jobs of (cell_idx, cell, trials) pieces.
+
+    A job holds at most ``TRIAL_BATCH`` rows, and a new job starts where (d, M) changes.
+    """
+    jobs, room = [], 0
+    for cell_idx, cell in enumerate(cells):
+        if cell_idx and cells[cell_idx - 1][1:] != cell[1:]:
+            room = 0
+        start = 0
+        while start < trials:
+            if room == 0:
+                jobs.append([])
+                room = TRIAL_BATCH
+            stop = min(trials, start + room)
+            jobs[-1].append((cell_idx, cell, range(start, stop)))
+            room -= stop - start
+            start = stop
+    return jobs
+
+
+def _fit_trials(models: _ModelStack, ns: np.ndarray, seed: int, keys: list[tuple]) -> tuple:
     """Monte Carlo trials as one batch: draw cell statistics, fit them, score the fits.
 
-    Trial i draws its statistics, as ``sample_cell_stats`` does, from the
-    seed sequence keyed by (*keys[i], 1); its model is not checked again.
-    Returns the analytic excess risks, the fitted w and b, and the
-    estimates, each with a leading trial axis.
+    Trial i draws its ``ns[i]`` observations' statistics, as
+    ``sample_cell_stats`` does, from the seed sequence keyed by (*keys[i], 1);
+    its model is not checked again.  Returns the analytic excess risks, the
+    fitted w and b, and the estimates, each with a leading trial axis.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*k, 1))) for k in keys]
-    w, b, estimates = _fit_cells(*_sample_cells(models, n, rngs))
+    w, b, estimates = _fit_cells(*_sample_cells(models, ns, rngs))
     _, _, oracle_w, oracle_b = _fair(models)
     return _l2_distance(w - oracle_w, b - oracle_b, models), w, b, estimates
 
 
-def _run_trial(config: SweepConfig, cell_idx: int, cell, trials: range) -> dict:
-    """One sweep job: the rows of one cell's ``trials``, as columns in CSV order."""
-    n, d, M = cell
+def _run_trial(config: SweepConfig, pieces: list[tuple]) -> dict:
+    """One sweep job: its rows, as columns in CSV order.
+
+    ``pieces`` lists (cell_idx, cell, trials) runs of consecutive cells that
+    share (d, M).
+    """
+    _, (_, d, M), _ = pieces[0]
+    keys = [(cell_idx, trial) for cell_idx, _, trials in pieces for trial in trials]
+    ns = np.array([n for _, (n, _, _), trials in pieces for _ in trials])
     rngs = [
-        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(cell_idx, trial, 0)))
-        for trial in trials
+        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(*key, 0)))
+        for key in keys
     ]
     stack = _draw_models(d, M, config.B, config.U, config.sigma_x, config.sigma_xi, rngs)
-    flags = [undersampled(n, d, M, p_min, config.delta) for p_min in stack.p.min(axis=1).tolist()]
-    T = len(trials)
+    flags = [
+        undersampled(n, d, M, p_min, config.delta)
+        for n, p_min in zip(ns.tolist(), stack.p.min(axis=1).tolist())
+    ]
+    T = len(keys)
     # Squared errors of coefficients above ~1e154 exceed the float range and read inf.
     with np.errstate(over="ignore"):
-        risk, w, b, estimates = _fit_trials(
-            stack, n, config.seed, [(cell_idx, trial) for trial in trials]
-        )
+        risk, w, b, estimates = _fit_trials(stack, ns, config.seed, keys)
         report = _unfairness(w, b, stack)
         return {
-            "n": np.full(T, n), "d": np.full(T, d), "M": np.full(T, M),
-            "B": np.full(T, config.B), "trial": np.array(trials),
+            "n": ns, "d": np.full(T, d), "M": np.full(T, M),
+            "B": np.full(T, config.B), "trial": np.array([trial for _, trial in keys]),
             "excess_risk": risk,
             "w2_unfairness": report.w2_max,
             "kol_unfairness": report.kol_max,
@@ -344,8 +374,10 @@ class SweepResult:
 def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Execute the full sweep grid; deterministic given config and seed.
 
-    A job is up to ``TRIAL_BATCH`` trials of one cell; a pool of ``threads``
-    workers runs the jobs and its ``map`` returns them in order.
+    The (cell, trial) rows, in CSV order, are cut into jobs of at most
+    ``TRIAL_BATCH`` rows; a job also ends where (d, M) changes.  At
+    ``threads`` = 1 the calling thread runs the jobs in turn; otherwise a pool
+    of ``threads`` workers runs them and its ``map`` returns them in order.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -355,13 +387,12 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
         for d in config.d_grid
         for M in config.M_grid
     ]
-    jobs = [
-        (cell_idx, cell, batch)
-        for cell_idx, cell in enumerate(cells)
-        for batch in _batches(config.trials)
-    ]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        blocks = list(pool.map(lambda job: _run_trial(config, *job), jobs))
+    jobs = _jobs(cells, config.trials)
+    if threads == 1:
+        blocks = [_run_trial(config, job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(_run_trial, [config] * len(jobs), jobs))
     result = SweepResult.from_records(blocks)
     if config.out is not None:
         result.write_csv(config.out)
@@ -434,7 +465,8 @@ def run_lower_bound_report(
         _check_model(params, n)
         risks = np.concatenate([
             _fit_trials(
-                _ModelStack.of([params] * len(batch)), n, seed, [(n_idx, t) for t in batch]
+                _ModelStack.of([params] * len(batch)), np.full(len(batch), n), seed,
+                [(n_idx, t) for t in batch],
             )[0]
             for batch in _batches(trials)
         ])

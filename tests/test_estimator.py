@@ -22,7 +22,8 @@ from fairlinreg import (
     sample_cell_stats,
     sample_dataset,
 )
-from fairlinreg.estimator import MAX_GRAM_CONDITION, _cell_table
+from fairlinreg.estimator import MAX_GRAM_CONDITION, _cell_table, _sample_cells
+from fairlinreg.model import _ModelStack
 
 
 class TestMakeSplit:
@@ -323,7 +324,7 @@ class TestCellStats:
     def test_cell_table_margins_are_the_block_sizes(self):
         rng = np.random.default_rng(30)
         counts = np.concatenate([np.arange(200), rng.integers(200, 10**6, size=100)])
-        table = _cell_table(counts, rng)
+        table = _cell_table(counts[None], [rng])[0]
         assert table.shape == (len(counts), 3, 2) and np.all(table >= 0)
         for count, cells in zip(counts, table):
             thirds = [len(b) for b in np.array_split(np.arange(count), 3)]
@@ -378,6 +379,29 @@ class TestCellStats:
             )
         for rows, cells in zip(laws["rows"], laws["cells"]):
             assert ks_2samp(rows, cells).pvalue > 0.01
+
+    def test_batched_draw_matches_one_trial_at_a_time(self):
+        # one batch mixing n = 30, whose cells all hold at most d rows and so
+        # draw their rows, with n = 4000, keyed as a sweep keys its trials
+        d, M, seed = 2, 6, 23
+        cells = [(0, 30), (1, 4000), (0, 30), (0, 30), (1, 4000), (1, 4000), (0, 30)]
+        keys = [(cell_idx, trial) for trial, (cell_idx, _) in enumerate(cells)]
+        ns = [n for _, n in cells]
+        params = [
+            random_valid_params(
+                d, M, 1.5, 1.0, 1.0, 1.0,
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, 0))),
+            )
+            for key in keys
+        ]
+        seqs = [np.random.SeedSequence(seed, spawn_key=(*key, 1)) for key in keys]
+        batch = _sample_cells(_ModelStack.of(params), ns, [np.random.default_rng(q) for q in seqs])
+        for t, (model, n, seq) in enumerate(zip(params, ns, seqs)):
+            one = sample_cell_stats(model, n, seq)
+            for name, value in zip(("size", "total", "gram", "xty"), batch):
+                assert np.array_equal(value[t], getattr(one, name)), (t, name)
+            big = one.size > d
+            assert big.all() if n == 4000 else ((one.size > 0) & ~big).any()
 
     def test_seed_determinism(self):
         params = random_valid_params(3, 2, 1.5, 1.0, 1.0, 1.0, np.random.default_rng(36))

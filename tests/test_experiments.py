@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import tempfile
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -208,6 +209,60 @@ class TestRunSweep:
         many = run_sweep(SweepConfig(**cfg, out=str(tmp_path / "t8.csv")), threads=8)
         assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t8.csv").read_bytes()
         assert one.rows == many.rows == run_sweep(SweepConfig(**cfg), threads=3).rows
+        # jobs that span cells: 3 x 30 rows at one (d, M) make jobs of 64 and 26
+        cfg = dict(n_grid=(30, 300, 4000), d_grid=(2,), M_grid=(3,), trials=30, seed=6)
+        csvs = []
+        for threads in (1, 2, 8):
+            path = tmp_path / f"span{threads}.csv"
+            run_sweep(SweepConfig(**cfg, out=str(path)), threads=threads)
+            csvs.append(path.read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+
+    @staticmethod
+    def _record_jobs(monkeypatch) -> list:
+        """Patch ``_run_trial`` to record each job's pieces and running thread."""
+        jobs, run_trial = [], experiments._run_trial
+
+        def recording(config, pieces):
+            jobs.append((pieces, threading.get_ident()))
+            return run_trial(config, pieces)
+
+        monkeypatch.setattr(experiments, "_run_trial", recording)
+        return jobs
+
+    @pytest.mark.parametrize(
+        "grid, trials, sizes",
+        [
+            (dict(n_grid=(16000, 32000, 64000), d_grid=(5,), M_grid=(3,)), 8, [24]),
+            (dict(n_grid=(300, 600), d_grid=(2, 3), M_grid=(2,)), 3, [3, 3, 3, 3]),
+            (dict(n_grid=(300, 600), d_grid=(2,), M_grid=(2,)), experiments.TRIAL_BATCH + 6,
+             [64, 64, 12]),
+        ],
+        ids=["ladder", "d_changes", "full_batches"],
+    )
+    def test_job_boundaries(self, monkeypatch, grid, trials, sizes):
+        # a job holds at most TRIAL_BATCH rows and ends where (d, M) changes
+        config = SweepConfig(**grid, trials=trials, seed=42)
+        jobs = self._record_jobs(monkeypatch)
+        rows = run_sweep(config).rows
+        assert [sum(len(t) for _, _, t in pieces) for pieces, _ in jobs] == sizes
+        for pieces, _ in jobs:
+            assert len({cell[1:] for _, cell, _ in pieces}) == 1
+        # the rows on each side of every cut are the single-trial chain's
+        for cut in np.cumsum(sizes)[:-1].tolist():
+            for i in (cut - 1, cut):
+                cell_idx, trial = divmod(i, trials)
+                expect = self._single_trial_row(config, cell_idx, tuple(rows[i][:3]), trial)[1]
+                assert rows[i] == expect
+
+    def test_one_thread_runs_jobs_in_the_calling_thread(self, monkeypatch):
+        config = SweepConfig(n_grid=(300, 600), d_grid=(2, 3), M_grid=(2,), trials=2, seed=7)
+        jobs = self._record_jobs(monkeypatch)
+        run_sweep(config, threads=1)
+        assert [ident for _, ident in jobs] == [threading.get_ident()] * 4
+        jobs.clear()
+        run_sweep(config, threads=2)
+        assert len(jobs) == 4 and threading.get_ident() not in {ident for _, ident in jobs}
 
     def test_prefix_stability(self):
         # a trial's row must not depend on how many trials share its batch; at
