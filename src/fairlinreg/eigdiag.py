@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import _is_finite_real, _is_int
+from .model import _check_seed, _is_finite_real, _is_int, _streams
 
 # Constant in the minimum-eigenvalue tail bound (21 e^10 t / sigma_x^2)^(n/6).
 TAIL_CONSTANT = 21.0 * math.exp(10.0)
@@ -93,14 +93,13 @@ def _tail_lambda_mins(
 ) -> np.ndarray:
     """lambda_min((1/n) X^T X) of each rep's X = mu + sigma_x Z.
 
-    Rep r draws its (n, d) standard normal Z from its own stream,
-    SeedSequence(seed, spawn_key=(r,)); the reps are stacked into one array
-    and scaled, shifted and eigensolved together.
+    Rep r draws its (n, d) standard normal Z from its own stream, keyed by
+    (r,) (``_streams``), built just before it draws; the reps are stacked
+    into one array and scaled, shifted and eigensolved together.
     """
     x = np.empty((reps, n, d))
-    for r in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        rng.standard_normal(out=x[r])
+    for rep, rng in zip(x, _streams(seed, np.arange(reps)[:, None])):
+        rng.standard_normal(out=rep)
     # an overflowed draw is rejected as non-finite by _gram_eigs
     with np.errstate(over="ignore"):
         x *= sigma_x
@@ -120,11 +119,18 @@ def min_eig_tail_check(
     """Simulate P{lambda_min((1/n) X^T X) < t} and report it next to the bound.
 
     Rows where the bound is >= 1 are flagged vacuous; elsewhere the caller may
-    assert empirical <= bound.
+    assert empirical <= bound.  Every argument is checked before any draw
+    (ParameterError).
     """
     if not _is_int(reps) or reps < 1:
         raise ParameterError(f"reps must be an integer >= 1, got {reps!r}")
     _check_sigma_x(sigma_x)
+    _check_seed(seed)
+    if not (_is_int(n) and _is_int(d) and d >= 1):
+        raise ParameterError(f"n and d must be integers with d >= 1, got n={n!r}, d={d!r}")
+    t_grid = list(t_grid)
+    if not all(_is_finite_real(t) for t in t_grid):
+        raise ParameterError(f"t_grid must hold finite numbers, got {t_grid}")
     if n <= 6 * d:
         raise ParameterError(f"need n > 6d, got n={n}, d={d}")
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (d,))

@@ -21,8 +21,10 @@ mean blocks' Σx and the regression blocks' coefficients.
 Sweeps run many trials at once: ``_sample_cells`` draws a batch of trials'
 cell statistics, each trial with its own model, n and generator, and
 ``_fit_cells`` fits them.  The draws take one pass over the generators, and
-the arithmetic between them runs once for the batch.  ``sample_cell_stats``
-and ``fit`` call the same kernels on a batch of one.
+the arithmetic between them runs once for the batch; each group's cell
+table takes at most two scalar hypergeometric draws (``_half_split``), the
+values and generator state of numpy's ``multivariate_hypergeometric``.
+``sample_cell_stats`` and ``fit`` call the same kernels on a batch of one.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ from .oracle import _assemble
 
 # Condition-number ceiling on the Gram matrix before OLS is declared singular.
 MAX_GRAM_CONDITION = 1e12
+
+# numpy's hypergeometric draws take fewer rows than this.
+HYPERGEOM_MAX = 10**9
 
 # A group's five blocks, in order: norm, direction and mean thirds of the 3-way
 # permutation, then coefficient and mean halves of the 2-way one.
@@ -164,19 +169,51 @@ class CellStats:
         return int(self.size.sum())
 
 
+def _half_split(rng, thirds: list[int], half: int) -> list[int]:
+    """How many of a group's ``half`` half-0 rows fall in each of its ``thirds``.
+
+    ``rng.multivariate_hypergeometric(thirds, half)`` to the bit, values and
+    generator state alike: numpy's ``marginals`` method replayed with scalar
+    ``hypergeometric`` calls, which skips most of the per-call overhead.
+    Past half of the rows it draws the other half's share and subtracts, and
+    it stops once nothing is left to draw; the last third takes the remainder.
+    """
+    t0, t1, t2 = thirds
+    count = t0 + t1 + t2
+    flip = half > count // 2
+    left = count - half if flip else half
+    x0 = x1 = 0
+    if left:
+        x0 = int(rng.hypergeometric(t0, t1 + t2, left))
+        if left - x0:
+            x1 = int(rng.hypergeometric(t1, t2, left - x0))
+    drawn = [x0, x1, left - x0 - x1]
+    return [t - x for t, x in zip(thirds, drawn)] if flip else drawn
+
+
 def _cell_table(counts: np.ndarray, rngs: list) -> np.ndarray:
     """(T, M, 3, 2) cell sizes of a random split of each trial's groups, with (T, M) row counts.
 
     Half 0 of a group's 2-way permutation is a uniform subset of its size, so
-    the number of its rows in each third is multivariate hypergeometric.
-    Trial t's M draws come from ``rngs[t]``.
+    the number of its rows in each third is multivariate hypergeometric
+    (``_half_split``).  Trial t's M draws come from ``rngs[t]``.  numpy draws
+    hypergeometrics from fewer than 10^9 rows, so a larger group is a
+    ``ParameterError``.
     """
+    if counts.max() >= HYPERGEOM_MAX:
+        raise ParameterError(
+            f"a group of {int(counts.max())} rows is too large to split: "
+            "groups must hold fewer than 10^9 rows"
+        )
     thirds = _split_sizes(counts, 3)
     halves = _split_sizes(counts, 2)[..., 0].tolist()
+    half0 = [
+        _half_split(rng, group, half)
+        for rng, groups, trial_halves in zip(rngs, thirds.tolist(), halves)
+        for group, half in zip(groups, trial_halves)
+    ]
     table = np.empty(thirds.shape + (2,), dtype=np.int64)
-    for t, rng in enumerate(rngs):
-        for s, half in enumerate(halves[t]):
-            table[t, s, :, 0] = rng.multivariate_hypergeometric(thirds[t, s], half)
+    table[..., 0] = np.reshape(half0, thirds.shape)
     table[..., 1] = thirds - table[..., 0]
     return table
 

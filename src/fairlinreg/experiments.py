@@ -3,11 +3,13 @@
 Sweeps iterate a (n, d, M) grid, fit the plugin estimator on freshly
 drawn cell statistics per trial, and record analytic excess risk, unfairness
 scores, and the per-component error terms whose individual 1/n rates
-drive the overall bound.  Each trial draws from its own seed sequences;
-after the draws, a job's trials (up to ``TRIAL_BATCH`` rows of consecutive
-cells that share (d, M)) are fitted and scored as one batch whose
-arithmetic per trial does not depend on the batch, so results are
-byte-identical regardless of batch size and worker count.
+drive the overall bound.  Each trial draws from its own seed sequences,
+whose generators a job builds in one ``_streams`` call; after the draws, a
+job's trials (up to ``TRIAL_BATCH`` rows of consecutive cells that share
+(d, M)) are fitted and scored as one batch whose arithmetic per trial does
+not depend on the batch, so results are byte-identical regardless of batch
+size and worker count.  A sweep of one job, or at one thread, starts no
+worker thread.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .model import (
     ModelParams,
     _as_batch,
     _check_model,
+    _check_seed,
     _dot,
     _is_finite_real,
     _is_int,
@@ -42,6 +45,7 @@ from .model import (
     _norm,
     _report,
     _rowdot,
+    _streams,
     _violations,
     from_dict,
     norm_diversity_factor,
@@ -272,15 +276,14 @@ def _jobs(cells: list[tuple], trials: int) -> list[list[tuple]]:
     return jobs
 
 
-def _fit_trials(models: _ModelStack, ns: np.ndarray, seed: int, keys: list[tuple]) -> tuple:
+def _fit_trials(models: _ModelStack, ns: np.ndarray, rngs: list) -> tuple:
     """Monte Carlo trials as one batch: draw cell statistics, fit them, score the fits.
 
     Trial i draws its ``ns[i]`` observations' statistics, as
-    ``sample_cell_stats`` does, from the seed sequence keyed by (*keys[i], 1);
-    its model is not checked again.  Returns the analytic excess risks, the
-    fitted w and b, and the estimates, each with a leading trial axis.
+    ``sample_cell_stats`` does, from ``rngs[i]``; its model is not checked
+    again.  Returns the analytic excess risks, the fitted w and b, and the
+    estimates, each with a leading trial axis.
     """
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*k, 1))) for k in keys]
     w, b, estimates = _fit_cells(*_sample_cells(models, ns, rngs))
     _, _, oracle_w, oracle_b = _fair(models)
     return _l2_distance(w - oracle_w, b - oracle_b, models), w, b, estimates
@@ -290,24 +293,22 @@ def _run_trial(config: SweepConfig, pieces: list[tuple]) -> dict:
     """One sweep job: its rows, as columns in CSV order.
 
     ``pieces`` lists (cell_idx, cell, trials) runs of consecutive cells that
-    share (d, M).
+    share (d, M).  A trial draws its model from stream (cell_idx, trial, 0)
+    and its cell statistics from stream (cell_idx, trial, 1).
     """
     _, (_, d, M), _ = pieces[0]
     keys = [(cell_idx, trial) for cell_idx, _, trials in pieces for trial in trials]
     ns = np.array([n for _, (n, _, _), trials in pieces for _ in trials])
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(*key, 0)))
-        for key in keys
-    ]
-    stack = _draw_models(d, M, config.B, config.U, config.sigma_x, config.sigma_xi, rngs)
+    T = len(keys)
+    rngs = list(_streams(config.seed, [(*key, half) for half in (0, 1) for key in keys]))
+    stack = _draw_models(d, M, config.B, config.U, config.sigma_x, config.sigma_xi, rngs[:T])
     flags = [
         undersampled(n, d, M, p_min, config.delta)
         for n, p_min in zip(ns.tolist(), stack.p.min(axis=1).tolist())
     ]
-    T = len(keys)
     # Squared errors of coefficients above ~1e154 exceed the float range and read inf.
     with np.errstate(over="ignore"):
-        risk, w, b, estimates = _fit_trials(stack, ns, config.seed, keys)
+        risk, w, b, estimates = _fit_trials(stack, ns, rngs[T:])
         report = _unfairness(w, b, stack)
         return {
             "n": ns, "d": np.full(T, d), "M": np.full(T, M),
@@ -375,9 +376,9 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Execute the full sweep grid; deterministic given config and seed.
 
     The (cell, trial) rows, in CSV order, are cut into jobs of at most
-    ``TRIAL_BATCH`` rows; a job also ends where (d, M) changes.  At
-    ``threads`` = 1 the calling thread runs the jobs in turn; otherwise a pool
-    of ``threads`` workers runs them and its ``map`` returns them in order.
+    ``TRIAL_BATCH`` rows; a job also ends where (d, M) changes.  A pool of
+    min(``threads``, jobs) workers runs them and its ``map`` returns them in
+    order; with one worker the calling thread runs the jobs in turn.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -388,10 +389,11 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
         for M in config.M_grid
     ]
     jobs = _jobs(cells, config.trials)
-    if threads == 1:
+    workers = min(threads, len(jobs))
+    if workers == 1:
         blocks = [_run_trial(config, job) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_trial, [config] * len(jobs), jobs))
     result = SweepResult.from_records(blocks)
     if config.out is not None:
@@ -437,11 +439,15 @@ def run_lower_bound_report(
     from one member of the same family.  trials >= 2, so each mean has a
     standard error, n_grid is nonempty, and round(n / M) >= 1 for every n,
     so no group's KL count is 0.
-    d, M, B_s, n_grid and trials are checked before any work (ParameterError).
+    d, M, B_s, n_grid, seed and trials are checked before any work (ParameterError).
     """
-    if trials < 2:
-        raise ParameterError(f"need trials >= 2 for a standard error, got {trials}")
+    if not (_is_int(trials) and trials >= 2):
+        raise ParameterError(f"need an integer trials >= 2 for a standard error, got {trials!r}")
+    _check_seed(seed)
     _packing_B_s(d, M, B_s)
+    n_grid = list(n_grid)
+    if not all(_is_int(n) for n in n_grid):
+        raise ParameterError(f"n_grid must hold integers, got {n_grid}")
     n_grid = [int(n) for n in n_grid]
     p = np.full(M, 1.0 / M)
     if not n_grid or any(np.round(n * p[0]) < 1 for n in n_grid):
@@ -465,8 +471,8 @@ def run_lower_bound_report(
         _check_model(params, n)
         risks = np.concatenate([
             _fit_trials(
-                _ModelStack.of([params] * len(batch)), np.full(len(batch), n), seed,
-                [(n_idx, t) for t in batch],
+                _ModelStack.of([params] * len(batch)), np.full(len(batch), n),
+                list(_streams(seed, [(n_idx, t, 1) for t in batch])),
             )[0]
             for batch in _batches(trials)
         ])

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .model import ModelParams, _frozen_array, _is_int, _rowdot, norm_diversity_factor
+from .model import (
+    ModelParams,
+    _check_seed,
+    _frozen_array,
+    _is_int,
+    _rowdot,
+    norm_diversity_factor,
+)
 from .oracle import build_fdp
 
 
@@ -213,7 +220,7 @@ def kl_conditional_sample(
     n_counts = np.asarray(n_counts, dtype=float)
     if n_counts.shape != (theta.M,):
         raise DimensionError(f"n_counts must have length {theta.M}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     sx2, sxi2 = np.square(theta.sigma_x), np.square(theta.sigma_xi)
     # log N(x; mu, sx^2 I) - log N(x; mu', sx^2 I) is affine in x
     x_slope = 2.0 * (theta.mu - theta_prime.mu)

@@ -20,6 +20,7 @@ from .model import (
     _dot,
     _ModelStack,
     _norm,
+    _streams,
     _trial,
     sample_dataset,
 )
@@ -193,10 +194,11 @@ def mc_excess_risk(
         db = f.b - oracle.fdp.b
     sums = []
     sq_sums = []
-    for chunk_idx, done in enumerate(range(0, n_mc, MC_CHUNK)):
+    starts = range(0, n_mc, MC_CHUNK)
+    # chunk k draws from stream (k,)
+    for done, rng in zip(starts, _streams(seed, np.arange(len(starts))[:, None])):
         m = min(MC_CHUNK, n_mc - done)
-        chunk_seed = np.random.SeedSequence(seed, spawn_key=(chunk_idx,))
-        data = sample_dataset(params, m, chunk_seed)
+        data = sample_dataset(params, m, rng)
         if affine:
             dev = np.einsum("ij,ij->i", dw[data.s], data.x) + db[data.s]
         else:

@@ -8,12 +8,13 @@ convention) throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +53,116 @@ def _frozen_array(a, name: str, dtype=float) -> np.ndarray:
         _check_finite(out, name)
     out.setflags(write=False)
     return out
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int, once it is an integer >= 0."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
+# numpy's SeedSequence hash on 32-bit words (numpy/random/bit_generator.pyx):
+# hashmix and mix fill a pool of 4 words from the entropy, and
+# generate_state hashes the pool into a bit generator's seed words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hash_steps(const: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """numpy's running hash constant over ``count`` hashes: each one's (xor, multiplier) pair.
+
+    The constant advances by a fixed factor per hash, whatever the hashed values.
+    """
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return list(zip(consts, consts[1:]))
+
+
+def _hash(value, xor, mult):
+    """One numpy hash of 32-bit words: Python ints, or ``uint64`` arrays holding such words."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """numpy's mix of two 32-bit words, in the same forms as ``_hash``."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+@functools.cache
+def _seed_words() -> type:
+    """A seed sequence whose state is already hashed: the 4 ``uint64`` words PCG64 asks for.
+
+    Made on first use: numpy loads ``numpy.random`` lazily, and importing it
+    with the package raised a run's peak RSS by 0.35-0.5 MB.
+    """
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _streams(seed, keys) -> Iterator[np.random.Generator]:
+    """The generator ``default_rng(SeedSequence(seed, spawn_key=key))`` of each key, bit for bit.
+
+    This is the library's stream contract: trial, rep and chunk k of a run
+    draws from the seed sequence keyed by its indices, so each one can be
+    reproduced alone.  ``keys`` are equal-length tuples of integers in
+    [0, 2^32), one 32-bit word each.  numpy's hash runs once for the batch:
+    the seed's words, shared by every key, on Python ints, then the key
+    words on ``uint64`` arrays, one mix step per key word for all keys at
+    once.  The generators are built one at a time, as the caller takes them.
+    """
+    seed = _check_seed(seed)
+    key_words = np.array(keys)
+    if not (
+        key_words.ndim == 2
+        and key_words.size
+        and key_words.dtype.kind in "iu"
+        and key_words.min() >= 0
+        and key_words.max() <= _MASK32
+    ):
+        raise ParameterError("spawn keys must be equal-length tuples of integers in [0, 2^32)")
+    # the seed's 32-bit words, least significant first, zero-padded to the pool
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (_POOL - len(entropy))
+    n_keys = key_words.shape[1]
+    steps = _hash_steps(_INIT_A, _MULT_A, _POOL * (len(entropy) + n_keys))
+    seed_steps = iter(steps[: _POOL * len(entropy)])
+    pool = [_hash(word, *next(seed_steps)) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(seed_steps)))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(seed_steps)))
+    # key word j is hashed once per pool word: one (T, n_keys, 4) step for all keys,
+    # then the pool mixes the key words in turn
+    pairs = np.array(steps[_POOL * len(entropy):], dtype=np.uint64).reshape(n_keys, _POOL, 2)
+    hashed = _hash(key_words.astype(np.uint64)[..., None], pairs[..., 0], pairs[..., 1])
+    pool = np.array(pool, dtype=np.uint64)
+    for j in range(n_keys):
+        pool = _mix(pool, hashed[:, j])
+    # generate_state(4, np.uint64): 8 words from the pool cycled twice, paired little-endian
+    xor, mult = np.array(_hash_steps(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint64).T
+    state = _hash(np.tile(pool, 2), xor, mult)
+    words = state[:, 0::2] | state[:, 1::2] << 32
+    seed_words = _seed_words()
+    return (np.random.Generator(np.random.PCG64(seed_words(row))) for row in words)
 
 
 def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -375,7 +486,7 @@ class Dataset:
 
 
 def sample_dataset(
-    params: ModelParams, n: int, seed: int | np.random.SeedSequence
+    params: ModelParams, n: int, seed: int | np.random.SeedSequence | np.random.Generator
 ) -> Dataset:
     """Draw n i.i.d. observations from the model; deterministic given seed.
 

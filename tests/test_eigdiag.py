@@ -10,6 +10,7 @@ from fairlinreg import (
     min_eig_tail_bound,
     min_eig_tail_check,
 )
+from fairlinreg import eigdiag
 from fairlinreg.eigdiag import _tail_lambda_mins
 
 
@@ -112,6 +113,21 @@ class TestTailCheck:
     def test_overflowing_draws_rejected(self, sigma_x):
         with pytest.raises(ParameterError):
             min_eig_tail_check(np.zeros(2), sigma_x, 2, 60, [0.5], 20, 0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(seed=-1), dict(seed=2.0), dict(n=60.5), dict(t_grid=[0.5, np.nan]),
+         dict(t_grid=[np.inf])],
+        ids=["negative_seed", "float_seed", "float_n", "nan_t", "inf_t"],
+    )
+    def test_bad_seed_n_or_t_rejected_before_any_draw(self, monkeypatch, change):
+        def no_draw(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(eigdiag, "_tail_lambda_mins", no_draw)
+        kwargs = dict(mu=np.zeros(2), sigma_x=1.0, d=2, n=60, t_grid=[0.5], reps=10, seed=0)
+        with pytest.raises(ParameterError):
+            min_eig_tail_check(**{**kwargs, **change})
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("reps", [0, -3, 2.5, True])

@@ -22,7 +22,13 @@ from fairlinreg import (
     sample_cell_stats,
     sample_dataset,
 )
-from fairlinreg.estimator import MAX_GRAM_CONDITION, _cell_table, _sample_cells
+from fairlinreg.estimator import (
+    HYPERGEOM_MAX,
+    MAX_GRAM_CONDITION,
+    _cell_table,
+    _half_split,
+    _sample_cells,
+)
 from fairlinreg.model import _ModelStack
 
 
@@ -433,3 +439,40 @@ class TestCellStats:
             CellStats(**{**good, "gram": np.full((2, 3, 2, 4, 4), np.inf)})
         with pytest.raises(DimensionError):
             fit(CellStats(**good), 3, 2, None)
+
+
+class TestHalfSplit:
+    """``_half_split`` against ``multivariate_hypergeometric``: the guard if numpy's sampler changes."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(40)
+        for count in [*range(12), 101, 1000, 99_999, *rng.integers(12, 10**6, size=30).tolist()]:
+            thirds = [(count + 2 - j) // 3 for j in range(3)]
+            uneven = rng.multinomial(count, [0.6, 0.1, 0.3]).tolist()
+            for half in {0, count, (count + 1) // 2, count // 2, int(rng.integers(count + 1))}:
+                yield thirds, half
+                yield uneven, half
+
+    def test_values_and_generator_state_equal_numpy(self):
+        cases = list(self._cases())
+        # counts 0, 1 and 2, odd and even counts, and the half at 0 and at the whole group
+        assert {sum(t) for t, _ in cases} >= {0, 1, 2, 3, 4}
+        assert any(h == 0 < sum(t) for t, h in cases) and any(h == sum(t) > 0 for t, h in cases)
+        for i, (thirds, half) in enumerate(cases):
+            expect, rng = np.random.default_rng(i), np.random.default_rng(i)
+            assert _half_split(rng, thirds, half) == expect.multivariate_hypergeometric(
+                thirds, half
+            ).tolist()
+            assert rng.bit_generator.state == expect.bit_generator.state
+
+    @pytest.mark.parametrize("count, ok", [(HYPERGEOM_MAX - 1, True), (HYPERGEOM_MAX, False)])
+    def test_group_size_limit(self, count, ok):
+        # numpy's multivariate_hypergeometric took groups of fewer than 10^9 rows
+        counts = np.array([[3, count]])
+        if ok:
+            table = _cell_table(counts, [np.random.default_rng(0)])
+            assert table[0, 1].sum() == count
+        else:
+            with pytest.raises(ParameterError, match="too large"):
+                _cell_table(counts, [np.random.default_rng(0)])

@@ -263,6 +263,11 @@ class TestRunSweep:
         jobs.clear()
         run_sweep(config, threads=2)
         assert len(jobs) == 4 and threading.get_ident() not in {ident for _, ident in jobs}
+        # a single job starts no pool, whatever the thread count
+        jobs.clear()
+        ladder = SweepConfig(n_grid=(16000, 32000), d_grid=(5,), M_grid=(3,), trials=4, seed=7)
+        run_sweep(ladder, threads=2)
+        assert [ident for _, ident in jobs] == [threading.get_ident()]
 
     def test_prefix_stability(self):
         # a trial's row must not depend on how many trials share its batch; at
@@ -547,6 +552,20 @@ class TestLowerBoundReport:
             tracemalloc.stop()
         assert result.rows[0][result.columns.index("K")] > 700
         assert peak < 8e6
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(seed=-1), dict(seed=1.5), dict(trials=2.5), dict(n_grid=[2000.7])],
+        ids=["negative_seed", "float_seed", "float_trials", "float_n"],
+    )
+    def test_bad_seed_trials_or_n_rejected_before_any_work(self, monkeypatch, change):
+        def no_work(*args):
+            raise AssertionError("gv_code ran")
+
+        monkeypatch.setattr(experiments, "gv_code", no_work)
+        kwargs = dict(n_grid=[2000], B_s=1, sigma_x=1, sigma_xi=1, seed=3, trials=4, code_budget=50)
+        with pytest.raises(ParameterError):
+            run_lower_bound_report(9, 4, **{**kwargs, **change})
 
     def test_single_trial_rejected(self):
         # one trial has no standard error
@@ -1030,6 +1049,28 @@ class TestCliFuzz:
         "B": 1.5, "U": 1.0, "sigma_x": 1.0, "sigma_xi": 1.0, "delta": 0.1,
         "out": "unused.csv",  # --out overrides it, so runs write only to a temp dir
     }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--config", "{config}"],
+            ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "4000000000", "--trials", "2",
+             "--out", "{out}"],
+        ],
+        ids=["sweep", "lower_bound"],
+    )
+    def test_a_group_of_a_billion_rows_exits_2(self, tmp_path, argv):
+        # numpy draws hypergeometrics from fewer than 10^9 rows
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps(
+            {"n_grid": [2_000_000_000], "d_grid": [2], "M_grid": [1], "trials": 1, "seed": 4,
+             "out": str(tmp_path / "sweep.csv")}
+        ))
+        argv = [arg.format(config=config, out=tmp_path / "lb.csv") for arg in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert "too large to split" in err.getvalue()
 
     @pytest.mark.parametrize("command", ["generate", "sweep", "fit"])
     @given(data=st.data())

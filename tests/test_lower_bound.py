@@ -219,6 +219,12 @@ class TestKl:
         est, se = kl_conditional_sample(theta, theta_prime, n_counts, 500_000, seed=6)
         assert abs(est - exact) <= 4 * se
 
+    @pytest.mark.parametrize("seed", [-1, 0.5], ids=["negative", "float"])
+    def test_sample_kl_bad_seed_rejected(self, seed):
+        theta = make_params([[1.0, 0.2], [0.3, 0.8]], B=2.0)
+        with pytest.raises(ParameterError, match="seed"):
+            kl_conditional_sample(theta, theta, [10, 10], 100, seed)
+
     def test_sample_kl_with_nonzero_means(self):
         # exercises the mean-shift and cross terms of the general formula
         theta = make_params(

@@ -22,7 +22,7 @@ from fairlinreg import (
     to_dict,
     validate_params,
 )
-from fairlinreg.model import _CSV_CHUNK, _norm, from_dict, norm_diversity_factor
+from fairlinreg.model import _CSV_CHUNK, _norm, _streams, from_dict, norm_diversity_factor
 
 
 class TestValidateParams:
@@ -367,3 +367,55 @@ class TestEvaluate:
             evaluate(f, [1.0, 2.0, 3.0], 0)
         with pytest.raises(DimensionError):
             evaluate(f, [1.0, 2.0], 5)
+
+
+class TestStreams:
+    """``_streams`` against numpy's own ``SeedSequence``: the guard if numpy's hash ever changes."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7, np.int64(2**40 + 3)]
+    KEYS = [
+        [(0,), (1,), (2**32 - 1,)],
+        [(0, 0, 0), (2**32 - 1, 0, 7), (3, 2**32 - 1, 1), (2**32 - 1,) * 3],
+    ]
+
+    @pytest.mark.parametrize("keys", KEYS, ids=["length1", "length3"])
+    @pytest.mark.parametrize("seed", SEEDS, ids=str)
+    def test_bit_for_bit_numpy_seed_sequence(self, seed, keys):
+        streams = list(_streams(seed, keys))
+        assert len(streams) == len(keys)
+        for key, rng in zip(keys, streams):
+            expect = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            assert rng.bit_generator.state == expect.bit_generator.state
+            assert rng.integers(0, 2**63, size=4).tolist() == expect.integers(0, 2**63, size=4).tolist()
+            assert rng.standard_normal(3).tolist() == expect.standard_normal(3).tolist()
+
+    def test_a_key_array(self):
+        by_array = [rng.random() for rng in _streams(9, np.arange(5)[:, None])]
+        assert by_array == [rng.random() for rng in _streams(9, [(k,) for k in range(5)])]
+
+    def test_built_as_taken(self):
+        # the generators are built one at a time: a later key's is not built yet
+        streams = _streams(3, [(0,), (1,)])
+        first = next(streams)
+        assert first.random() == np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,))).random()
+        assert len(list(streams)) == 1
+
+    @pytest.mark.parametrize(
+        "seed, keys",
+        [
+            (-1, [(0,)]),
+            (1.5, [(0,)]),
+            (True, [(0,)]),
+            ("7", [(0,)]),
+            (0, [(-1,)]),
+            (0, [(2**32,)]),
+            (0, [(0.5,)]),
+            (0, [()]),
+            (0, []),
+        ],
+        ids=["negative_seed", "float_seed", "bool_seed", "str_seed", "negative_key",
+             "key_above_32_bits", "float_key", "empty_key", "no_keys"],
+    )
+    def test_bad_seed_or_key_rejected(self, seed, keys):
+        with pytest.raises(ParameterError):
+            _streams(seed, keys)
