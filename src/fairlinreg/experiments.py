@@ -8,8 +8,7 @@ whose generators a job builds in one ``_streams`` call; after the draws, a
 job's trials (up to ``TRIAL_BATCH`` rows of consecutive cells that share
 (d, M)) are fitted and scored as one batch whose arithmetic per trial does
 not depend on the batch, so results are byte-identical regardless of batch
-size and worker count.  A sweep of one job, or at one thread, starts no
-worker thread.
+size and worker count.
 """
 
 from __future__ import annotations
@@ -376,9 +375,9 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Execute the full sweep grid; deterministic given config and seed.
 
     The (cell, trial) rows, in CSV order, are cut into jobs of at most
-    ``TRIAL_BATCH`` rows; a job also ends where (d, M) changes.  A pool of
-    min(``threads``, jobs) workers runs them and its ``map`` returns them in
-    order; with one worker the calling thread runs the jobs in turn.
+    ``TRIAL_BATCH`` rows; a job also ends where (d, M) changes.  At
+    ``threads`` = 1 the calling thread runs the jobs in turn; otherwise a pool
+    of ``threads`` workers runs them and its ``map`` returns them in order.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -389,11 +388,10 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
         for M in config.M_grid
     ]
     jobs = _jobs(cells, config.trials)
-    workers = min(threads, len(jobs))
-    if workers == 1:
+    if threads == 1:
         blocks = [_run_trial(config, job) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(_run_trial, [config] * len(jobs), jobs))
     result = SweepResult.from_records(blocks)
     if config.out is not None:
