@@ -44,6 +44,7 @@ from .model import (
     _frozen_array,
     _ModelStack,
     _norm,
+    _rng,
     _rowdot,
     _trial,
 )
@@ -81,7 +82,7 @@ class SplitPlan:
 
 def make_split(dataset: Dataset, seed: int | np.random.SeedSequence) -> SplitPlan:
     """Draw the 3-way permutation, then the 2-way one, for each group in turn."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     three, two = [], []
     for s in range(dataset.M):
         idx = dataset.group_indices(s)
@@ -332,7 +333,7 @@ def sample_cell_stats(
     This is a batch of one of the kernels that sweeps run on many trials.
     """
     _check_model(params, n)
-    rngs = [np.random.default_rng(seed)]
+    rngs = [_rng(seed)]
     size, total, gram, xty = _sample_cells(_ModelStack.of([params]), [n], rngs)
     return CellStats(size=size[0], total=total[0], gram=gram[0], xty=xty[0])
 

@@ -24,7 +24,8 @@ from .errors import ConfigError, ParameterError
 from .estimator import ComponentEstimates, _fit_cells, _sample_cells
 from .estimator import fit  # noqa: F401  unused here; perfbench's tracer test patches this alias
 from .lower_bound import (
-    _packing_B_s,
+    _flip_kl,
+    _flip_separation,
     _worst_pairs,
     build_family,
     fano_value,
@@ -248,12 +249,6 @@ def undersampled(n: int, d: int, M: int, p_min: float, delta: float) -> bool:
     return n < 12.0 * max(3 * d, 4.0 * math.log(M / delta)) / p_min
 
 
-def _batches(trials: int) -> list[range]:
-    """Trial indices 0..trials-1 cut into consecutive batches of at most ``TRIAL_BATCH``."""
-    starts = range(0, trials, TRIAL_BATCH)
-    return [range(start, min(start + TRIAL_BATCH, trials)) for start in starts]
-
-
 def _jobs(cells: list[tuple], trials: int) -> list[list[tuple]]:
     """A sweep's (cell, trial) rows, in CSV order, cut into jobs of (cell_idx, cell, trials) pieces.
 
@@ -437,12 +432,15 @@ def run_lower_bound_report(
     from one member of the same family.  trials >= 2, so each mean has a
     standard error, n_grid is nonempty, and round(n / M) >= 1 for every n,
     so no group's KL count is 0.
-    d, M, B_s, n_grid, seed and trials are checked before any work (ParameterError).
+    d, M, B_s, n_grid, seed and trials are checked before any work
+    (ParameterError, or DimensionError for a B_s of neither one nor M values).
+    The (n, trial) rows are cut as ``run_sweep`` cuts a sweep's; n's trial t
+    draws its cell statistics from stream (n's index, t, 1).
     """
     if not (_is_int(trials) and trials >= 2):
         raise ParameterError(f"need an integer trials >= 2 for a standard error, got {trials!r}")
     _check_seed(seed)
-    _packing_B_s(d, M, B_s)
+    B_s = build_family(d, M, B_s, 1.0).B_s  # d, M and B_s, checked before p needs M
     n_grid = list(n_grid)
     if not all(_is_int(n) for n in n_grid):
         raise ParameterError(f"n_grid must hold integers, got {n_grid}")
@@ -453,35 +451,37 @@ def run_lower_bound_report(
             f"n_grid must be nonempty and every n must give each of the M={M} "
             f"groups at least one row (round(n / M) >= 1), got n_grid={n_grid}"
         )
-    min_dist = max((d - 1) // 8, 1)
-    code = gv_code(d - 1, M, min_dist, code_budget, seed)
     n_counts = [np.round(n * p) for n in n_grid]
     families = [
         build_family(d, M, B_s, hard_instance_eps(d, M, sigma_xi, sigma_x, B_s, counts))
         for counts in n_counts
     ]
-    kl_max, epsilon = _worst_pairs(code, families, n_counts, p, sigma_x, sigma_xi)
-    records = []
-    for n_idx, (n, family) in enumerate(zip(n_grid, families)):
-        fano = fano_value(epsilon[n_idx], code.size, kl_max[n_idx])
-
-        params = family.params_of(code.codewords[0], p, sigma_x, sigma_xi)
+    code = gv_code(d - 1, M, max((d - 1) // 8, 1), code_budget, seed)
+    kl_flips = [_flip_kl(f.B_s, f.eps_s, c, sigma_x, sigma_xi) for f, c in zip(families, n_counts)]
+    sep_flips = [_flip_separation(f, p, sigma_x) for f in families]
+    kl_max, epsilon = _worst_pairs(code, kl_flips, sep_flips)
+    models = [f.params_of(code.codewords[0], p, sigma_x, sigma_xi) for f in families]
+    for params, n in zip(models, n_grid):
         _check_model(params, n)
-        risks = np.concatenate([
-            _fit_trials(
-                _ModelStack.of([params] * len(batch)), np.full(len(batch), n),
-                list(_streams(seed, [(n_idx, t, 1) for t in batch])),
-            )[0]
-            for batch in _batches(trials)
-        ])
-        records.append(
-            {
-                "d": d, "M": M, "n": n, "epsilon": epsilon[n_idx], "K": code.size,
-                "kl": kl_max[n_idx], "fano_value": fano,
-                "est_risk_mean": float(risks.mean()),
-                "est_risk_se": float(risks.std(ddof=1) / math.sqrt(trials)),
-            }
-        )
+    # a batch per piece holds one n's trials, so its memory does not grow with the grid
+    risks = np.concatenate([
+        _fit_trials(
+            _ModelStack.of([models[n_idx]] * len(batch)), np.full(len(batch), n),
+            list(_streams(seed, [(n_idx, t, 1) for t in batch])),
+        )[0]
+        for job in _jobs([(n, d, M) for n in n_grid], trials)
+        for n_idx, (n, _, _), batch in job
+    ]).reshape(len(n_grid), trials)
+    records = [
+        {
+            "d": d, "M": M, "n": n, "epsilon": epsilon[n_idx], "K": code.size,
+            "kl": kl_max[n_idx],
+            "fano_value": fano_value(epsilon[n_idx], code.size, kl_max[n_idx]),
+            "est_risk_mean": float(risks[n_idx].mean()),
+            "est_risk_se": float(risks[n_idx].std(ddof=1) / math.sqrt(trials)),
+        }
+        for n_idx, n in enumerate(n_grid)
+    ]
     result = SweepResult.from_records(records)
     if out is not None:
         result.write_csv(out, schema=LOWER_BOUND_SCHEMA)

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .model import (
     ModelParams,
-    _check_seed,
     _frozen_array,
     _is_int,
+    _rng,
     _rowdot,
     norm_diversity_factor,
 )
@@ -32,7 +32,9 @@ class PackedFamily:
 
     Every member has mu = 0 and per-group coefficient norm exactly B_s: the
     first coordinate carries sqrt(1 - eps_s^2) of the direction and the sign
-    block spreads eps_s over the remaining d-1 coordinates.
+    block spreads eps_s over the remaining d-1 coordinates.  Construction
+    checks the family: integers d >= 2 and M >= 1, B_s and eps_s one value
+    or M of them, each B_s finite and positive, each eps_s in (0, 1].
     """
 
     d: int
@@ -41,8 +43,15 @@ class PackedFamily:
     eps_s: np.ndarray  # (M,)
 
     def __post_init__(self):
-        object.__setattr__(self, "B_s", _frozen_array(self.B_s, "B_s"))
-        object.__setattr__(self, "eps_s", _frozen_array(self.eps_s, "eps_s"))
+        if not (_is_int(self.d) and _is_int(self.M) and self.d >= 2 and self.M >= 1):
+            raise ParameterError(f"need integers d >= 2 and M >= 1, got d={self.d!r}, M={self.M!r}")
+        B_s, eps_s = (_per_group(getattr(self, name), self.M, name) for name in ("B_s", "eps_s"))
+        if not np.all(B_s > 0.0):
+            raise ParameterError(f"B_s must be positive, got {B_s}")
+        if not np.all((eps_s > 0.0) & (eps_s <= 1.0)):
+            raise ParameterError(f"eps_s must lie in (0, 1], got {eps_s}")
+        object.__setattr__(self, "B_s", B_s)
+        object.__setattr__(self, "eps_s", eps_s)
 
     def beta_of(self, v: np.ndarray) -> np.ndarray:
         """Materialize the (M, d) coefficient matrix for a sign pattern v."""
@@ -79,16 +88,19 @@ class PackedFamily:
         )
 
 
+def _per_group(values, M: int, name: str) -> np.ndarray:
+    """``values`` as a read-only (M,) float array: finite numbers, one or M of them."""
+    out = np.empty(M)
+    try:
+        out[:] = _frozen_array(values, name)
+    except ValueError:
+        raise DimensionError(f"{name} needs one value or M={M}, got {values!r}") from None
+    out.setflags(write=False)
+    return out
+
+
 def build_family(d: int, M: int, B_s, eps_s) -> PackedFamily:
-    """Validate and assemble a packed hard-instance family."""
-    if d < 2:
-        raise ParameterError(f"need d >= 2, got d={d}")
-    B_s = np.broadcast_to(np.asarray(B_s, dtype=float), (M,))
-    eps_s = np.broadcast_to(np.asarray(eps_s, dtype=float), (M,))
-    if np.any(B_s <= 0.0):
-        raise ParameterError("B_s must be positive")
-    if np.any(eps_s <= 0.0) or np.any(eps_s > 1.0):
-        raise ParameterError(f"eps_s must lie in (0, 1], got {eps_s}")
+    """A packed hard-instance family; ``PackedFamily`` checks it."""
     return PackedFamily(d=d, M=M, B_s=B_s, eps_s=eps_s)
 
 
@@ -128,7 +140,7 @@ def gv_code(
         raise ParameterError(f"block length must be >= 1, got {block_length}")
     if not _is_int(budget) or budget < 0:
         raise ParameterError(f"budget must be an integer >= 0, got {budget!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     draws = rng.choice((-1, 1), size=(budget, blocks, block_length)).astype(np.int8)
     signs = _block_signs(draws)  # (blocks, surviving candidates, block_length)
     live = np.arange(budget)
@@ -165,7 +177,8 @@ def _block_hamming_from_signs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (rows.shape[-1] - rows @ cols.transpose(0, 2, 1)) / 2.0
 
 
-def _check_shared(theta: ModelParams, theta_prime: ModelParams) -> None:
+def _check_shared(theta: ModelParams, theta_prime: ModelParams, n_counts=None):
+    """n_counts as an (M,) float array, once the models share (d, M), sigma_x, sigma_xi and p."""
     if theta.d != theta_prime.d or theta.M != theta_prime.M:
         raise DimensionError("the two parameter sets have different (d, M)")
     if (
@@ -174,30 +187,30 @@ def _check_shared(theta: ModelParams, theta_prime: ModelParams) -> None:
         or not np.array_equal(theta.p, theta_prime.p)
     ):
         raise ParameterError("sigma_x, sigma_xi and p must be shared")
+    if n_counts is not None:
+        n_counts = np.asarray(n_counts, dtype=float)
+        if n_counts.shape != (theta.M,):
+            raise DimensionError(f"n_counts must have length {theta.M}")
+    return n_counts
 
 
-def kl_conditional(
-    theta: ModelParams, theta_prime: ModelParams, n_counts
-) -> float:
+def kl_conditional(theta: ModelParams, theta_prime: ModelParams, n_counts) -> float:
     """KL divergence between the conditional data laws given group counts.
 
     Per observation in group s the divergence is
     ||dmu||^2/(2 sigma_x^2) + sigma_x^2 ||dbeta||^2 / (2 sigma_xi^2)
     + <mu_s, dbeta>^2 / (2 sigma_xi^2), summed with weights n_s.
     """
-    _check_shared(theta, theta_prime)
-    n_counts = np.asarray(n_counts, dtype=float)
-    if n_counts.shape != (theta.M,):
-        raise DimensionError(f"n_counts must have length {theta.M}")
+    n_counts = _check_shared(theta, theta_prime, n_counts)
     if theta.sigma_xi <= 0.0:
         raise ParameterError("kl_conditional requires sigma_xi > 0")
     dmu = theta.mu - theta_prime.mu
     dbeta = theta.beta - theta_prime.beta
     sx2, sxi2 = np.square(theta.sigma_x), np.square(theta.sigma_xi)
     per = (
-        np.einsum("ij,ij->i", dmu, dmu) / (2.0 * sx2)
-        + sx2 * np.einsum("ij,ij->i", dbeta, dbeta) / (2.0 * sxi2)
-        + np.einsum("ij,ij->i", theta.mu, dbeta) ** 2 / (2.0 * sxi2)
+        _rowdot(dmu, dmu) / (2.0 * sx2)
+        + sx2 * _rowdot(dbeta, dbeta) / (2.0 * sxi2)
+        + _rowdot(theta.mu, dbeta) ** 2 / (2.0 * sxi2)
     )
     return float(n_counts @ per)
 
@@ -214,13 +227,10 @@ def kl_conditional_sample(
     Each rep draws one observation per group from theta and weighs its
     log-likelihood ratio by n_s; returns (mean, standard error) over reps.
     """
-    _check_shared(theta, theta_prime)
+    n_counts = _check_shared(theta, theta_prime, n_counts)
     if not _is_int(n_mc) or n_mc < 2:
         raise ParameterError(f"n_mc must be an integer >= 2, got {n_mc!r}")
-    n_counts = np.asarray(n_counts, dtype=float)
-    if n_counts.shape != (theta.M,):
-        raise DimensionError(f"n_counts must have length {theta.M}")
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = _rng(seed)
     sx2, sxi2 = np.square(theta.sigma_x), np.square(theta.sigma_xi)
     # log N(x; mu, sx^2 I) - log N(x; mu', sx^2 I) is affine in x
     x_slope = 2.0 * (theta.mu - theta_prime.mu)
@@ -238,6 +248,36 @@ def kl_conditional_sample(
     return est, se
 
 
+def _flip_kl(B_s, eps_s, n_counts, sigma_x: float, sigma_xi: float) -> np.ndarray:
+    """Per block s, the KL of packed members whose signs differ in all of block s.
+
+    It is 2 sigma_x^2 B_s^2 n_s eps_s^2 / sigma_xi^2 = (d-1) a_s eps_s^2, and
+    each differing sign adds a_s eps_s^2.
+    """
+    return 2.0 * np.square(sigma_x) * B_s ** 2 * n_counts / np.square(sigma_xi) * eps_s ** 2
+
+
+def _flip_separation(family: PackedFamily, p, sigma_x: float) -> np.ndarray:
+    """Per block s, the two-point separation of packed members whose signs differ in all of it.
+
+    It is p_s bar^2 sigma_x^2 eps_s^2 with bar = p . B_s, and each differing
+    sign adds 1/(d-1) of it.
+    """
+    p = np.asarray(p, dtype=float)
+    bar = float(p @ family.B_s)
+    try:
+        bar_sq = bar ** 2
+    except OverflowError:
+        raise ParameterError(f"weighted norm p . B_s = {bar:.6g} is too large to square") from None
+    return p * bar_sq * np.square(sigma_x) * family.eps_s ** 2
+
+
+def _pair_sum(flips: np.ndarray, d_h: np.ndarray, block_length: int) -> np.ndarray:
+    """A packed pair's KL or separation from its per-block Hamming distances d_h (..., M)."""
+    terms = flips * d_h  # divided in place: a second chunk-sized array raises peak RSS
+    return np.divide(terms, block_length, out=terms).sum(axis=-1)
+
+
 def packed_pair_kl(
     family: PackedFamily,
     v: np.ndarray,
@@ -247,24 +287,8 @@ def packed_pair_kl(
     sigma_xi: float,
 ) -> np.ndarray:
     """Closed-form KL of packed pairs (mu = 0), broadcast over leading axes."""
-    return _kl_of_distance(family, block_hamming(v, v_prime), n_counts, sigma_x, sigma_xi)
-
-
-def _kl_of_distance(
-    family: PackedFamily, d_h: np.ndarray, n_counts, sigma_x: float, sigma_xi: float
-) -> np.ndarray:
-    """Packed-pair KL from per-block Hamming distances d_h (..., M)."""
-    n_counts = np.asarray(n_counts, dtype=float)
-    per = (
-        2.0
-        * np.square(sigma_x)
-        * family.B_s ** 2
-        * n_counts
-        * family.eps_s ** 2
-        * d_h
-        / (np.square(sigma_xi) * (family.d - 1))
-    )
-    return per.sum(axis=-1)
+    flips = _flip_kl(family.B_s, family.eps_s, n_counts, sigma_x, sigma_xi)
+    return _pair_sum(flips, block_hamming(v, v_prime), family.d - 1)
 
 
 def packed_pair_separation(
@@ -275,23 +299,8 @@ def packed_pair_separation(
     Equals one quarter of the exact L2 distance between the members' fair
     regressors — the value of the two-point lower bound at mu = 0.
     """
-    return _separation_of_distance(family, block_hamming(v, v_prime), p, sigma_x)
-
-
-def _separation_of_distance(
-    family: PackedFamily, d_h: np.ndarray, p, sigma_x: float
-) -> np.ndarray:
-    """Packed-pair separation from per-block Hamming distances d_h (..., M)."""
-    p = np.asarray(p, dtype=float)
-    bar = float(p @ family.B_s)
-    try:
-        bar_sq = bar ** 2
-    except OverflowError:
-        raise ParameterError(
-            f"the weighted norm p . B_s = {bar:.6g} is too large to square"
-        ) from None
-    per = p * bar_sq * np.square(sigma_x) * family.eps_s ** 2 * d_h / (family.d - 1)
-    return per.sum(axis=-1)
+    flips = _flip_separation(family, p, sigma_x)
+    return _pair_sum(flips, block_hamming(v, v_prime), family.d - 1)
 
 
 # Pairs per step of the code's pair reduction: bounds its working memory
@@ -300,22 +309,21 @@ _PAIR_CHUNK = 8192
 
 
 def _worst_pairs(
-    code: CodeSet, families: list, n_counts: list, p, sigma_x: float, sigma_xi: float
+    code: CodeSet, kl_flips: list, sep_flips: list
 ) -> tuple[list[float], list[float]]:
     """Each family's largest pairwise KL and smallest pairwise separation over a code.
 
-    families[k] with n_counts[k] is scored on every pair i < j of codewords.
-    A pair's per-block Hamming distances do not depend on the family, so
-    they are computed once, from per-block Gram products, in row chunks of
-    at most _PAIR_CHUNK pairs, and every family is folded in chunk by chunk.
-    Each pair's (M,) terms stay a contiguous last axis, so its sum, and
-    every value, is the same as ``packed_pair_kl``/``packed_pair_separation``
-    give for that pair.  A code of fewer than 2 codewords gives 0 and inf.
+    ``kl_flips[k]`` and ``sep_flips[k]`` are family k's (M,) ``_flip_kl`` and
+    ``_flip_separation``.  Every pair i < j of codewords is scored, in chunks
+    of at most _PAIR_CHUNK pairs whose per-block Hamming distances come once,
+    for all families, from per-block Gram products.  Each pair's (M,) terms
+    stay a contiguous last axis, so every value is the one ``packed_pair_kl``
+    or ``packed_pair_separation`` gives.  Fewer than 2 codewords give 0 and inf.
     """
     K = code.size
     signs = _block_signs(code.codewords)
-    kl_max = [0.0] * len(families)
-    eps_min = [math.inf] * len(families)
+    kl_max = [0.0] * len(kl_flips)
+    eps_min = [math.inf] * len(sep_flips)
     start = 0
     while start < K - 1:
         stop = min(start + max(_PAIR_CHUNK // (K - 1 - start), 1), K - 1)
@@ -323,11 +331,9 @@ def _worst_pairs(
         d_h = _block_hamming_from_signs(signs[:, start:stop], signs[:, start + 1:])
         upper = np.triu(np.ones(d_h.shape[1:], dtype=bool))
         d_h = np.ascontiguousarray(d_h.transpose(1, 2, 0)[upper])  # (pairs, M)
-        for k, (family, counts) in enumerate(zip(families, n_counts)):
-            kl = _kl_of_distance(family, d_h, counts, sigma_x, sigma_xi)
-            sep = _separation_of_distance(family, d_h, p, sigma_x)
-            kl_max[k] = max(kl_max[k], float(kl.max()))
-            eps_min[k] = min(eps_min[k], float(sep.min()))
+        for k, (kl_flip, sep_flip) in enumerate(zip(kl_flips, sep_flips)):
+            kl_max[k] = max(kl_max[k], float(_pair_sum(kl_flip, d_h, signs.shape[-1]).max()))
+            eps_min[k] = min(eps_min[k], float(_pair_sum(sep_flip, d_h, signs.shape[-1]).min()))
         start = stop
     return kl_max, eps_min
 
@@ -358,7 +364,7 @@ def two_point_bound(theta: ModelParams, theta_prime: ModelParams) -> TwoPointBou
 
     dmu = theta.mu - theta_prime.mu
     mu_bar = 0.5 * (theta.mu + theta_prime.mu)
-    dmu_sq = np.einsum("ij,ij->i", dmu, dmu)
+    dmu_sq = _rowdot(dmu, dmu)
     d_s = dmu_sq / (2.0 * sx2)
     if np.any(d_s >= 1.0):
         raise ParameterError(
@@ -369,17 +375,11 @@ def two_point_bound(theta: ModelParams, theta_prime: ModelParams) -> TwoPointBou
     v_s = u - u_prime
     dbeta = theta.beta - theta_prime.beta
     sbeta = theta.beta + theta_prime.beta
-    const_shift = float(
-        theta.p
-        @ (
-            np.einsum("ij,ij->i", dbeta, mu_bar)
-            + 0.5 * np.einsum("ij,ij->i", sbeta, dmu)
-        )
-    )
-    c_s = -0.5 * np.einsum("ij,ij->i", u + u_prime, dmu) + const_shift
+    const_shift = float(theta.p @ (_rowdot(dbeta, mu_bar) + 0.5 * _rowdot(sbeta, dmu)))
+    c_s = -0.5 * _rowdot(u + u_prime, dmu) + const_shift
 
     damp = np.exp(-d_s) / 4.0
-    slope_term = sx2 * np.einsum("ij,ij->i", v_s, v_s) * (1.0 + q_s) ** -(1.0 + d / 2.0)
+    slope_term = sx2 * _rowdot(v_s, v_s) * (1.0 + q_s) ** -(1.0 + d / 2.0)
     intercept_term = c_s ** 2 * (1.0 + q_s) ** -(d / 2.0)
     value = float(theta.p @ (damp * (slope_term + intercept_term)))
     simplified = float(theta.p @ (damp * slope_term))
@@ -397,33 +397,24 @@ def fano_value(epsilon: float, K: int, avg_kl: float) -> float:
     return max(epsilon * (1.0 - (avg_kl + math.log(2.0)) / math.log(K)), 0.0)
 
 
-def _packing_B_s(d: int, M: int, B_s) -> np.ndarray:
-    """B_s as an (M,) array, after checking the packing's geometry and B_s > 0 finite."""
-    if not (d >= 2 and M >= 1 and M * (d - 1) > 16):
-        raise ParameterError(f"need d >= 2, M >= 1 and M(d-1) > 16, got d={d}, M={M}")
-    B_s = np.broadcast_to(np.asarray(B_s, dtype=float), (M,))
-    if not np.all(np.isfinite(B_s) & (B_s > 0.0)):
-        raise ParameterError(f"B_s must be positive and finite, got {B_s}")
-    return B_s
-
-
 def hard_instance_eps(
     d: int, M: int, sigma_xi: float, sigma_x: float, B_s, n_counts
 ) -> np.ndarray:
     """The per-group packing radii eps_s for the hard instance family.
 
-    eps_s^2 = ((d-1)/16 - 1/M) * sigma_xi^2 / (2 sigma_x^2 B_s^2 n_s),
-    clamped to (0, 1] with a warning when small n pushes it above 1.
+    eps_s^2 = ((d-1)/16 - 1/M) * sigma_xi^2 / (2 sigma_x^2 B_s^2 n_s): the
+    radius at which members differing in all of block s are ((d-1)/16 - 1/M)
+    apart in KL.  It is clamped to (0, 1] with a warning when small n pushes
+    it above 1.  Needs M(d-1) > 16, and d, M and B_s as ``PackedFamily``
+    checks them.
     """
-    B_s = _packing_B_s(d, M, B_s)
-    n_counts = np.broadcast_to(np.asarray(n_counts, dtype=float), (M,))
+    B_s = build_family(d, M, B_s, 1.0).B_s
+    if M * (d - 1) <= 16:
+        raise ParameterError(f"need M(d-1) > 16, got d={d}, M={M}")
+    n_counts = _per_group(n_counts, M, "n_counts")
     # an overflowed square gives a radius of 0, inf or NaN, rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        eps_sq = (
-            ((d - 1) / 16.0 - 1.0 / M)
-            * np.square(sigma_xi)
-            / (2.0 * np.square(sigma_x) * B_s ** 2 * n_counts)
-        )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        eps_sq = ((d - 1) / 16.0 - 1.0 / M) / _flip_kl(B_s, 1.0, n_counts, sigma_x, sigma_xi)
     if not np.all(np.isfinite(eps_sq) & (eps_sq > 0.0)):
         raise ParameterError(
             "packing radius is 0 or not finite: sigma_xi = 0, or sigma_xi or sigma_x B_s n "

@@ -18,6 +18,7 @@ from .model import (
     GroupAffineRegressor,
     ModelParams,
     _dot,
+    _is_int,
     _ModelStack,
     _norm,
     _streams,
@@ -186,8 +187,8 @@ def mc_excess_risk(
     regressor, so f = fair gives exactly 0) or any callable f(x, s) mapping
     an (m, d) array and an (m,) label array to m predictions.
     """
-    if n_mc < 1:
-        raise ParameterError(f"n_mc must be positive, got {n_mc}")
+    if not _is_int(n_mc) or n_mc < 1:
+        raise ParameterError(f"n_mc must be an integer >= 1, got {n_mc!r}")
     affine = isinstance(f, GroupAffineRegressor)
     if affine:
         dw = f.w - oracle.fdp.w

@@ -62,6 +62,12 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for a SeedSequence, a Generator or an integer seed >= 0."""
+    numpy_seed = isinstance(seed, (np.random.SeedSequence, np.random.Generator))
+    return np.random.default_rng(seed if numpy_seed else _check_seed(seed))
+
+
 # numpy's SeedSequence hash on 32-bit words (numpy/random/bit_generator.pyx):
 # hashmix and mix fill a pool of 4 words from the entropy, and
 # generate_state hashes the pool into a bit generator's seed words.
@@ -326,12 +332,12 @@ def validate_params(params: ModelParams) -> list[str]:
 
 
 def _check_model(params: ModelParams, n: int) -> ModelParams:
-    """The entry check of a draw from the model: valid ``params``, returned, and n >= 1."""
+    """The entry check of a draw from the model: valid ``params``, returned, and integer n >= 1."""
     report = validate_params(params)
     if report:
         raise ParameterError("invalid model parameters: " + "; ".join(report))
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    if not (_is_int(n) and n >= 1):
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     return params
 
 
@@ -497,7 +503,7 @@ def sample_dataset(
     by the ``Dataset`` constructor.
     """
     _check_model(params, n)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     counts = rng.multinomial(n, params.p)
     s = np.repeat(np.arange(params.M, dtype=np.int64), counts)
     with np.errstate(over="ignore", invalid="ignore"):

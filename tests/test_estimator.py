@@ -77,6 +77,14 @@ class TestMakeSplit:
         a, b = make_split(data, seed=5), make_split(data, seed=5)
         assert all(np.array_equal(x, y) for x, y in zip(a.three + a.two, b.three + b.two))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_rejected(self, seed):
+        data = self._single_group_data(100)
+        with pytest.raises(ParameterError, match="seed"):
+            make_split(data, seed)
+        with pytest.raises(ParameterError, match="seed"):
+            fit(data, 2, 1, seed)
+
 
 class TestOls:
     def test_exact_interpolation(self):
@@ -415,6 +423,12 @@ class TestCellStats:
         for name in ("size", "total", "gram", "xty"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.n == 5000 and (a.M, a.d) == (2, 3)
+
+    @pytest.mark.parametrize("n, seed", [(100, -1), (100, 1.5), (2.5, 0)])
+    def test_bad_seed_or_n_rejected(self, n, seed):
+        params = random_valid_params(3, 2, 1.5, 1.0, 1.0, 1.0, np.random.default_rng(36))
+        with pytest.raises(ParameterError):
+            sample_cell_stats(params, n, seed)
 
     def test_ill_conditioned_block_raises(self):
         # the norm block of group 0 (cells (0, 0) and (0, 1)) has condition 1e13

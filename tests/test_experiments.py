@@ -489,6 +489,10 @@ class TestLowerBoundReport:
         ]:
             with pytest.raises(ParameterError):
                 run_lower_bound_report(d, M, [n], B_s, 1.0, 1.0, seed=0)
+        with pytest.raises(ParameterError):
+            run_lower_bound_report(9.0, 4, [1000], 1.0, 1.0, 1.0, seed=0)
+        with pytest.raises(DimensionError):
+            run_lower_bound_report(9, 4, [1000], [1.0, 1.0], 1.0, 1.0, seed=0)
         with pytest.raises(ParameterError, match="n_grid must be nonempty"):
             run_lower_bound_report(9, 4, [], 1.0, 1.0, 1.0, seed=0)
 
@@ -532,6 +536,17 @@ class TestLowerBoundReport:
                 assert eps == min(
                     packed_pair_separation(family, v, w, p, 1.2) for v, w in pairs
                 )
+
+    def test_csv_does_not_depend_on_trial_batch(self, monkeypatch):
+        # 70 trials at each of 2 n span jobs at every batch size
+        texts = set()
+        for batch in (1, 7, 64):
+            monkeypatch.setattr(experiments, "TRIAL_BATCH", batch)
+            result = run_lower_bound_report(
+                9, 4, [2000, 4000], 1.0, 1.0, 1.0, seed=5, trials=70, code_budget=100
+            )
+            texts.add(result.to_csv_text(experiments.LOWER_BOUND_SCHEMA))
+        assert len(texts) == 1
 
     def test_pair_reduction_memory_is_bounded(self):
         # K ~ 800 codewords give ~3.2e5 pairs; all of them at once as an

@@ -9,6 +9,7 @@ from _support import make_params
 from fairlinreg import (
     DimensionError,
     GroupAffineRegressor,
+    PackedFamily,
     ParameterError,
     build_family,
     build_fdp,
@@ -61,11 +62,20 @@ class TestPackedFamily:
         assert validate_params(params) == []
         assert np.all(params.mu == 0.0)
 
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
     def test_eps_domain_errors(self):
         with pytest.raises(ParameterError):
             build_family(4, 2, [1.0, 1.0], [0.5, 1.5])
         with pytest.raises(ParameterError):
             build_family(1, 2, [1.0, 1.0], [0.5, 0.5])
+        # constructed directly, the family checks itself
+        for d, B_s, eps_s in [(4, 1.0, 2.0), (1, 1.0, 0.5), (2.5, 1.0, 0.5), (4, 1.0, 0.0)]:
+            with pytest.raises(ParameterError):
+                PackedFamily(d=d, M=2, B_s=B_s, eps_s=eps_s)
+        with pytest.raises(DimensionError):
+            PackedFamily(d=4, M=2, B_s=[1.0, 1.0, 1.0], eps_s=0.5)
+        family = PackedFamily(d=4, M=2, B_s=1.0, eps_s=[0.5, 1.0])
+        assert family.B_s.shape == (2,) and not family.B_s.flags.writeable
 
 
 class TestGvCode:
@@ -145,6 +155,11 @@ class TestGvCode:
     def test_bad_budget_rejected(self, budget):
         with pytest.raises(ParameterError):
             gv_code(block_length=8, blocks=2, min_dist=1, budget=budget, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            gv_code(block_length=8, blocks=2, min_dist=1, budget=30, seed=seed)
 
     def test_numpy_integer_budget(self):
         code = gv_code(block_length=8, blocks=2, min_dist=1, budget=np.int64(30), seed=0)
@@ -385,9 +400,11 @@ class TestHardInstanceEps:
 
     @pytest.mark.filterwarnings("error")
     def test_hypothesis_boundary_excluded(self):
-        for d, M in [(17, 1), (9, 0), (9, -1), (1, 4), (0, -20)]:
+        for d, M in [(17, 1), (9, 0), (9, -1), (1, 4), (0, -20), (9, 2.5), (9.0, 4)]:
             with pytest.raises(ParameterError):
                 hard_instance_eps(d, M, 1.0, 1.0, 1.0, [100])
+        with pytest.raises(DimensionError):
+            hard_instance_eps(9, 4, 1.0, 1.0, [1.0, 1.0], [100])
 
     @pytest.mark.parametrize("B_s", [0.0, -1.0, np.nan, np.inf, 1e308])
     @pytest.mark.filterwarnings("error")  # rejected before a numpy warning

@@ -294,8 +294,9 @@ class TestMcExcessRisk:
         rng = np.random.default_rng(13)
         params = random_valid_params(2, 2, 2.0, 1.0, 1.0, 1.0, rng)
         oracle = build_fdp(params)
-        with pytest.raises(ParameterError):
-            mc_excess_risk(oracle.fdp, params, oracle, 0, seed=0)
+        for n_mc in (0, 2.5, True, "10"):
+            with pytest.raises(ParameterError, match="n_mc"):
+                mc_excess_risk(oracle.fdp, params, oracle, n_mc, seed=0)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(14)

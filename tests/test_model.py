@@ -140,6 +140,14 @@ class TestSampleDataset:
         c = sample_dataset(params, 500, seed=43)
         assert not np.array_equal(a.x, c.x)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n, seed", [(10, -1), (10, 1.5), (10, "7"), (2.5, 0), (10.0, 0), (True, 0)]
+    )
+    def test_bad_seed_or_n_rejected(self, n, seed):
+        with pytest.raises(ParameterError):
+            sample_dataset(make_params([[1.0, 0.0]]), n, seed)
+
     def test_conditional_moments(self):
         mu = np.array([[1.0, -2.0], [0.0, 3.0]])
         params = make_params([[1.0, 0.0], [0.0, 1.0]], mu=mu, U=4.0, sigma_x=0.7)
