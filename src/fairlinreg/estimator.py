@@ -18,10 +18,10 @@ the gated regression blocks are fitted:
 Either way ``_estimate`` assembles the regressor from the block sizes, the
 mean blocks' Σx and the regression blocks' coefficients.
 
-Sweeps run many trials at once: ``_sample_cells`` draws a batch of trials'
-cell statistics, each trial with its own model, n and generator, and
-``_fit_cells`` fits them.  The draws take one pass over the generators, and
-the arithmetic between them runs once for the batch; each group's cell
+Sweeps run many trials at once: ``_sample_cells`` draws and forms a batch
+of trials' cell statistics, each trial with its own model, n and generator,
+and ``_fit_cells`` fits them.  The draws take one pass over the generators,
+and the arithmetic between them runs once for the batch; each group's cell
 table takes at most two scalar hypergeometric draws (``_half_split``), the
 values and generator state of numpy's ``multivariate_hypergeometric``.
 ``sample_cell_stats`` and ``fit`` call the same kernels on a batch of one.
@@ -219,68 +219,44 @@ def _cell_table(counts: np.ndarray, rngs: list) -> np.ndarray:
     return table
 
 
-def _draw_cells(models: _ModelStack, ns, rngs: list) -> tuple:
-    """The random draws for the cell statistics of ``ns[t]`` observations from model t.
+def _sample_cells(models: _ModelStack, ns, rngs: list) -> tuple[np.ndarray, ...]:
+    """(size, total, gram, xty) of ``ns[t]`` observations from model t, each (T, M, 3, 2[, d[, d]]).
 
     Generator ``rngs[t]`` draws trial t's values in ``sample_cell_stats``'s
-    order; the arithmetic between the draws runs once for all trials.
-    Returns the (T, M, 3, 2) cell table; for the K cells of m >= d + 1 rows,
-    in (trial, group, third, half) order, the Bartlett normals (K, d, d) and
-    chi-square variates (K, d), the sum normals (K, d) and the noise normals
-    (K, d + 1, 1); and, for each smaller cell, its flat index with Σx, XᵀX
-    and Xᵀy of its drawn rows.  ``_sample_cells`` ignores overflow and
-    invalid values: ``_cell_stats`` rejects them.
+    order; the arithmetic between the draws runs once for all trials, and no
+    cell's arithmetic depends on the other cells in the batch.  A draw that
+    overflows raises ``ParameterError``, as the ``CellStats`` constructor does.
     """
     T, M, d = models.mu.shape
-    counts = np.stack([rng.multinomial(n, p) for n, p, rng in zip(ns, models.p, rngs)])
-    table = _cell_table(counts, rngs)
-    m = table.reshape(-1)  # cells in (trial, group, third, half) order
-    big = m > d
-    dof = m[big, None] - 1.0 - np.arange(d)
-    K = len(dof)
-    bartlett, noise = np.empty((K, d, d)), np.empty((K, d + 1, 1))
-    chi2, sums = np.empty((K, d)), np.empty((K, d))
-    start = 0
-    for rng, k in zip(rngs, big.reshape(T, -1).sum(axis=1).tolist()):
-        part = slice(start, start + k)
-        rng.standard_normal(out=bartlett[part])
-        chi2[part] = rng.chisquare(dof[part])
-        rng.standard_normal(out=sums[part])
-        rng.standard_normal(out=noise[part])
-        start += k
-    # each generator draws its small cells after its big ones, as a trial alone does
-    small = []
-    for cell in np.flatnonzero((m > 0) & ~big).tolist():
-        t, group = divmod(cell // 6, M)
-        rng, mu, beta = rngs[t], models.mu[t, group], models.beta[t, group]
-        x = mu + models.sigma_x[t] * rng.standard_normal((m[cell], d))
-        y = x @ beta + models.sigma_xi[t] * rng.standard_normal(m[cell])
-        small.append((cell, x.sum(axis=0), x.T @ x, x.T @ y))
-    return table, bartlett, chi2, sums, noise, small
-
-
-def _cell_stats(models: _ModelStack, draws: tuple) -> tuple[np.ndarray, ...]:
-    """(size, total, gram, xty) of T trials' ``_draw_cells`` draws, each (T, M, 3, 2[, d[, d]]).
-
-    Every trial's big cells are formed at once; the arithmetic of a cell
-    does not depend on the other cells in the batch.  A draw that overflows
-    raises ``ParameterError``, as the ``CellStats`` constructor does.
-    """
-    T, M, d = models.mu.shape
-    table, bartlett, chi2, sums, noise, small = draws
-    m = table.reshape(-1)  # cells in (trial, group, third, half) order
-    big = m > d
-    # each group's mean and coefficients, and each trial's sigmas, once per big cell
-    mu, beta = (np.repeat(a.reshape(T * M, d), 6, axis=0)[big] for a in (models.mu, models.beta))
-    sigma_x, sigma_xi = (
-        np.repeat(a, 6 * M)[big, None, None] for a in (models.sigma_x, models.sigma_xi)
-    )
-    total = np.zeros((m.size, d))
-    gram = np.zeros((m.size, d, d))
-    xty = np.zeros((m.size, d))
-    diag = np.arange(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.empty((len(sums), d, d + 1))  # F = [sigma_x A | c], built in place
+        counts = np.stack([rng.multinomial(n, p) for n, p, rng in zip(ns, models.p, rngs)])
+        table = _cell_table(counts, rngs)
+        m = table.reshape(-1)  # cells in (trial, group, third, half) order
+        big = m > d
+        chi2 = m[big, None] - 1.0 - np.arange(d)  # degrees of freedom, replaced by the draws
+        K = len(chi2)
+        bartlett, noise = np.empty((K, d, d)), np.empty((K, d + 1, 1))
+        sums = np.empty((K, d))
+        start = 0
+        for rng, k in zip(rngs, big.reshape(T, -1).sum(axis=1).tolist()):
+            part = slice(start, start + k)
+            rng.standard_normal(out=bartlett[part])
+            chi2[part] = rng.chisquare(chi2[part])
+            rng.standard_normal(out=sums[part])
+            rng.standard_normal(out=noise[part])
+            start += k
+        # each group's mean and coefficients, and each trial's sigmas, once per big cell
+        mu, beta = (
+            np.repeat(a.reshape(T * M, d), 6, axis=0)[big] for a in (models.mu, models.beta)
+        )
+        sigma_x, sigma_xi = (
+            np.repeat(a, 6 * M)[big, None, None] for a in (models.sigma_x, models.sigma_xi)
+        )
+        total = np.zeros((m.size, d))
+        gram = np.zeros((m.size, d, d))
+        xty = np.zeros((m.size, d))
+        diag = np.arange(d)
+        f = np.empty((K, d, d + 1))  # F = [sigma_x A | c], built in place
         a = f[:, :, :d]
         np.multiply(bartlett, np.tri(d, k=-1), out=a)
         a[:, diag, diag] = np.sqrt(chi2)
@@ -291,8 +267,13 @@ def _cell_stats(models: _ModelStack, draws: tuple) -> tuple[np.ndarray, ...]:
         gram[big] = big_gram = f @ f.transpose(0, 2, 1)
         total[big] = root_m * c
         xty[big] = (big_gram @ beta[:, :, None] + sigma_xi * (f @ noise))[..., 0]
-    for cell, *stats in small:
-        total[cell], gram[cell], xty[cell] = stats
+        # each generator draws its small cells after its big ones, as a trial alone does
+        for cell in np.flatnonzero((m > 0) & ~big).tolist():
+            t, group = divmod(cell // 6, M)
+            rng, mu_s, beta_s = rngs[t], models.mu[t, group], models.beta[t, group]
+            x = mu_s + models.sigma_x[t] * rng.standard_normal((m[cell], d))
+            y = x @ beta_s + models.sigma_xi[t] * rng.standard_normal(m[cell])
+            total[cell], gram[cell], xty[cell] = x.sum(axis=0), x.T @ x, x.T @ y
     shape = (T, M, 3, 2)
     return (
         table,
@@ -300,13 +281,6 @@ def _cell_stats(models: _ModelStack, draws: tuple) -> tuple[np.ndarray, ...]:
         _check_finite(gram.reshape(shape + (d, d)), "gram"),
         _check_finite(xty.reshape(shape + (d,)), "xty"),
     )
-
-
-def _sample_cells(models: _ModelStack, ns, rngs: list) -> tuple[np.ndarray, ...]:
-    """(size, total, gram, xty) of ``ns[t]`` observations from model t, drawn by ``rngs[t]``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        draws = _draw_cells(models, ns, rngs)
-    return _cell_stats(models, draws)
 
 
 def sample_cell_stats(

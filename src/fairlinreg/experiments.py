@@ -472,13 +472,17 @@ def run_lower_bound_report(
         for job in _jobs([(n, d, M) for n in n_grid], trials)
         for n_idx, (n, _, _), batch in job
     ]).reshape(len(n_grid), trials)
+    # each n's risks scaled by a power of two, as ``_norm`` scales: exact, and a
+    # risk above ~1e154 does not overflow when its deviation is squared
+    _, exponent = np.frexp(risks.max(axis=1))
+    spread = [np.ldexp(np.ldexp(r, -e).std(ddof=1), e) for r, e in zip(risks, exponent)]
     records = [
         {
             "d": d, "M": M, "n": n, "epsilon": epsilon[n_idx], "K": code.size,
             "kl": kl_max[n_idx],
             "fano_value": fano_value(epsilon[n_idx], code.size, kl_max[n_idx]),
             "est_risk_mean": float(risks[n_idx].mean()),
-            "est_risk_se": float(risks[n_idx].std(ddof=1) / math.sqrt(trials)),
+            "est_risk_se": float(spread[n_idx] / math.sqrt(trials)),
         }
         for n_idx, n in enumerate(n_grid)
     ]

@@ -177,8 +177,18 @@ def _block_hamming_from_signs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (rows.shape[-1] - rows @ cols.transpose(0, 2, 1)) / 2.0
 
 
+def _check_counts(n_counts, M: int) -> np.ndarray:
+    """n_counts as an (M,) float array of finite, nonnegative group counts."""
+    n_counts = _frozen_array(n_counts, "n_counts")
+    if n_counts.shape != (M,):
+        raise DimensionError(f"n_counts must have length {M}")
+    if np.any(n_counts < 0.0):
+        raise ParameterError(f"n_counts must be nonnegative, got {n_counts}")
+    return n_counts
+
+
 def _check_shared(theta: ModelParams, theta_prime: ModelParams, n_counts=None):
-    """n_counts as an (M,) float array, once the models share (d, M), sigma_x, sigma_xi and p."""
+    """``_check_counts`` of n_counts, once the models share (d, M), sigma_x, sigma_xi and p."""
     if theta.d != theta_prime.d or theta.M != theta_prime.M:
         raise DimensionError("the two parameter sets have different (d, M)")
     if (
@@ -187,11 +197,7 @@ def _check_shared(theta: ModelParams, theta_prime: ModelParams, n_counts=None):
         or not np.array_equal(theta.p, theta_prime.p)
     ):
         raise ParameterError("sigma_x, sigma_xi and p must be shared")
-    if n_counts is not None:
-        n_counts = np.asarray(n_counts, dtype=float)
-        if n_counts.shape != (theta.M,):
-            raise DimensionError(f"n_counts must have length {theta.M}")
-    return n_counts
+    return None if n_counts is None else _check_counts(n_counts, theta.M)
 
 
 def kl_conditional(theta: ModelParams, theta_prime: ModelParams, n_counts) -> float:
@@ -287,6 +293,7 @@ def packed_pair_kl(
     sigma_xi: float,
 ) -> np.ndarray:
     """Closed-form KL of packed pairs (mu = 0), broadcast over leading axes."""
+    n_counts = _check_counts(n_counts, family.M)
     flips = _flip_kl(family.B_s, family.eps_s, n_counts, sigma_x, sigma_xi)
     return _pair_sum(flips, block_hamming(v, v_prime), family.d - 1)
 

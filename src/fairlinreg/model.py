@@ -69,7 +69,7 @@ def _rng(seed) -> np.random.Generator:
 
 
 # numpy's SeedSequence hash on 32-bit words (numpy/random/bit_generator.pyx):
-# hashmix and mix fill a pool of 4 words from the entropy, and
+# the key words are mixed into the seed's pool of 4 words, and
 # generate_state hashes the pool into a bit generator's seed words.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -78,25 +78,26 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
 
-def _hash_steps(const: int, mult: int, count: int) -> list[tuple[int, int]]:
+def _hash_steps(const: int, mult: int, count: int) -> np.ndarray:
     """numpy's running hash constant over ``count`` hashes: each one's (xor, multiplier) pair.
 
-    The constant advances by a fixed factor per hash, whatever the hashed values.
+    The constant advances by a fixed factor per hash, whatever the hashed
+    values.  Returned as a (count, 2) ``uint64`` array.
     """
     consts = [const]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return list(zip(consts, consts[1:]))
+    return np.array(list(zip(consts, consts[1:])), dtype=np.uint64)
 
 
-def _hash(value, xor, mult):
-    """One numpy hash of 32-bit words: Python ints, or ``uint64`` arrays holding such words."""
+def _hash(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """One numpy hash of 32-bit words held in ``uint64`` arrays."""
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
 
 
-def _mix(x, y):
-    """numpy's mix of two 32-bit words, in the same forms as ``_hash``."""
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix of two 32-bit words held in ``uint64`` arrays."""
     value = (_MIX_L * x - _MIX_R * y) & _MASK32
     return value ^ value >> 16
 
@@ -127,10 +128,11 @@ def _streams(seed, keys) -> Iterator[np.random.Generator]:
     This is the library's stream contract: trial, rep and chunk k of a run
     draws from the seed sequence keyed by its indices, so each one can be
     reproduced alone.  ``keys`` are equal-length tuples of integers in
-    [0, 2^32), one 32-bit word each.  numpy's hash runs once for the batch:
-    the seed's words, shared by every key, on Python ints, then the key
-    words on ``uint64`` arrays, one mix step per key word for all keys at
-    once.  The generators are built one at a time, as the caller takes them.
+    [0, 2^32), one 32-bit word each.  The seed's pool, shared by every key,
+    is numpy's own ``SeedSequence(seed).pool``; numpy's hash then runs once
+    for the batch on ``uint64`` arrays, one mix step per key word for all
+    keys at once.  The generators are built one at a time, as the caller
+    takes them.
     """
     seed = _check_seed(seed)
     key_words = np.array(keys)
@@ -142,29 +144,19 @@ def _streams(seed, keys) -> Iterator[np.random.Generator]:
         and key_words.max() <= _MASK32
     ):
         raise ParameterError("spawn keys must be equal-length tuples of integers in [0, 2^32)")
-    # the seed's 32-bit words, least significant first, zero-padded to the pool
-    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [0] * (_POOL - len(entropy))
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    # the pool took 4 hashes per seed word, zero-padded to 4 words; key word j
+    # is hashed once per pool word: one (T, n_keys, 4) step for all keys, then
+    # the pool mixes the key words in turn
+    n_words = max(-(-seed.bit_length() // 32), _POOL)
     n_keys = key_words.shape[1]
-    steps = _hash_steps(_INIT_A, _MULT_A, _POOL * (len(entropy) + n_keys))
-    seed_steps = iter(steps[: _POOL * len(entropy)])
-    pool = [_hash(word, *next(seed_steps)) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(seed_steps)))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(seed_steps)))
-    # key word j is hashed once per pool word: one (T, n_keys, 4) step for all keys,
-    # then the pool mixes the key words in turn
-    pairs = np.array(steps[_POOL * len(entropy):], dtype=np.uint64).reshape(n_keys, _POOL, 2)
+    const = _INIT_A * pow(_MULT_A, _POOL * n_words, 1 << 32) & _MASK32
+    pairs = _hash_steps(const, _MULT_A, _POOL * n_keys).reshape(n_keys, _POOL, 2)
     hashed = _hash(key_words.astype(np.uint64)[..., None], pairs[..., 0], pairs[..., 1])
-    pool = np.array(pool, dtype=np.uint64)
     for j in range(n_keys):
         pool = _mix(pool, hashed[:, j])
     # generate_state(4, np.uint64): 8 words from the pool cycled twice, paired little-endian
-    xor, mult = np.array(_hash_steps(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint64).T
+    xor, mult = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL).T
     state = _hash(np.tile(pool, 2), xor, mult)
     words = state[:, 0::2] | state[:, 1::2] << 32
     seed_words = _seed_words()

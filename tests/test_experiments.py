@@ -462,24 +462,28 @@ class TestFitSlope:
 
 
 class TestLowerBoundReport:
+    @pytest.mark.filterwarnings("error")
     def test_small_sandwich(self, tmp_path):
         out = tmp_path / "lb.csv"
-        result = run_lower_bound_report(
-            9, 4, [1000, 2000, 4000], 1.0, 1.0, 1.0, seed=1,
-            trials=8, code_budget=400, out=out,
-        )
-        fano = result.column("fano_value")
-        risk = result.column("est_risk_mean")
-        se = result.column("est_risk_se")
-        assert np.all(fano <= risk + 4 * se)
-        assert np.all(fano > 0.0)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "# schema=fairlinreg-lower-bound-2"
-        assert lines[1].split(",") == result.columns
-        names = result.columns
-        for row in result.rows:
-            for name in ("d", "M", "n", "K"):
-                assert type(row[names.index(name)]) is int
+        # B_s = 1e100 gives risks near 1e198, whose squared deviations would overflow
+        for B_s in (1.0, 1e100):
+            result = run_lower_bound_report(
+                9, 4, [1000, 2000, 4000], B_s, 1.0, 1.0, seed=1,
+                trials=8, code_budget=400, out=out,
+            )
+            fano = result.column("fano_value")
+            risk = result.column("est_risk_mean")
+            se = result.column("est_risk_se")
+            assert np.all(np.isfinite(se) & (se > 0.0))
+            assert np.all(fano <= risk + 4 * se)
+            assert np.all(fano > 0.0)
+            lines = out.read_text().splitlines()
+            assert lines[0] == "# schema=fairlinreg-lower-bound-2"
+            assert lines[1].split(",") == result.columns
+            names = result.columns
+            for row in result.rows:
+                for name in ("d", "M", "n", "K"):
+                    assert type(row[names.index(name)]) is int
 
     @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
     def test_precondition(self):

@@ -306,11 +306,21 @@ class TestKlSampleReference:
         with pytest.raises(ParameterError, match="n_mc"):
             kl_conditional_sample(theta, theta, [30, 70], n_mc, 0)
 
-    @pytest.mark.parametrize("n_counts", [[30], [30, 70, 5], 30])
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
+    @pytest.mark.parametrize(
+        "n_counts", [[30], [30, 70, 5], 30, [-5, 10], [np.nan, 1], [np.inf, 1], ["a", 1]]
+    )
     def test_bad_n_counts_rejected(self, n_counts):
+        # a wrong length is a DimensionError, a negative or non-finite count a ParameterError
+        error = DimensionError if np.shape(n_counts) != (2,) else ParameterError
         theta = make_params([[1.0, 0.2], [0.5, 0.5]], B=2.0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(error):
             kl_conditional_sample(theta, theta, n_counts, 100, 0)
+        with pytest.raises(error):
+            kl_conditional(theta, theta, n_counts)
+        family = build_family(2, 2, 1.0, 0.5)
+        with pytest.raises(error):
+            packed_pair_kl(family, np.ones((2, 1)), -np.ones((2, 1)), n_counts, 1.0, 1.0)
 
 
 class TestTwoPointBound:

@@ -380,7 +380,9 @@ class TestEvaluate:
 class TestStreams:
     """``_streams`` against numpy's own ``SeedSequence``: the guard if numpy's hash ever changes."""
 
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7, np.int64(2**40 + 3)]
+    SEEDS = [
+        0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128, 2**130 + 7, np.int64(2**40 + 3)
+    ]
     KEYS = [
         [(0,), (1,), (2**32 - 1,)],
         [(0, 0, 0), (2**32 - 1, 0, 7), (3, 2**32 - 1, 1), (2**32 - 1,) * 3],
