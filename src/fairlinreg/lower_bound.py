@@ -121,6 +121,11 @@ class CodeSet:
         return len(self.codewords)
 
 
+# Candidates per step of ``gv_code``'s greedy: its distances among a chunk's
+# survivors cost _GV_CHUNK^2 per block, and its scan one step per survivor.
+_GV_CHUNK = 64
+
+
 def gv_code(
     block_length: int, blocks: int, min_dist: int, budget: int, seed: int
 ) -> CodeSet:
@@ -132,9 +137,13 @@ def gv_code(
     asserted against an existential bound.
 
     All ``budget`` candidates are drawn at once (the same draws, in the same
-    order, as one at a time) and the greedy runs as an elimination pass:
-    accepting the first surviving candidate removes every later one too
-    close to it, so the pass takes one step per accepted codeword.
+    order, as one at a time) and the greedy walks them in chunks of
+    _GV_CHUNK.  One Gram product gives a chunk's block distances to the
+    codewords accepted so far, and only the candidates far enough from all
+    of them survive; a second gives the distances among the survivors, and
+    a forward scan accepts each survivor still live and drops the later ones
+    too close to it.  Codewords and distance are those of the one-at-a-time
+    greedy.
     """
     if block_length < 1:
         raise ParameterError(f"block length must be >= 1, got {block_length}")
@@ -142,24 +151,39 @@ def gv_code(
         raise ParameterError(f"budget must be an integer >= 0, got {budget!r}")
     rng = _rng(seed)
     draws = rng.choice((-1, 1), size=(budget, blocks, block_length)).astype(np.int8)
-    signs = _block_signs(draws)  # (blocks, surviving candidates, block_length)
-    live = np.arange(budget)
-    # per survivor: its least block distance to the codewords accepted so far
-    closest = np.full(budget, float(block_length))
+    codes = np.empty((blocks, budget, block_length))  # the accepted codewords' signs
     accepted = []
     achieved = float(block_length)  # max possible per-block distance
-    while live.size:
-        accepted.append(live[0])
-        achieved = min(achieved, closest[0])
-        dists = _block_hamming_from_signs(signs[:, 1:], signs[:, :1])[..., 0]
-        if min_dist >= 1:
-            ok = (dists >= min_dist).all(axis=0)
-        else:
-            ok = dists.any(axis=0)  # reject only duplicates
-        closest = np.minimum(closest[1:], dists.min(axis=0, initial=block_length))[ok]
-        live = live[1:][ok]
-        signs = signs[:, 1:][:, ok]
+    for start in range(0, budget, _GV_CHUNK):
+        chunk = _block_signs(draws[start:start + _GV_CHUNK])
+        dists = _block_hamming_from_signs(codes[:, :len(accepted)], chunk)
+        survivors = np.flatnonzero(_compatible(dists, min_dist).all(axis=0))
+        closest = dists.min(axis=(0, 1), initial=block_length)[survivors]
+        signs = chunk[:, survivors]
+        inner = _block_hamming_from_signs(signs, signs)
+        compatible = _compatible(inner, min_dist)
+        live = np.ones(len(survivors), dtype=bool)
+        taken = []
+        for i in range(len(survivors)):
+            if live[i]:
+                taken.append(i)
+                live &= compatible[i]
+        near = inner.min(axis=0, initial=block_length)[np.ix_(taken, taken)]
+        np.fill_diagonal(near, block_length)
+        achieved = min(achieved, closest[taken].min(initial=achieved), near.min(initial=achieved))
+        codes[:, len(accepted):len(accepted) + len(taken)] = signs[:, taken]
+        accepted.extend(start + survivors[taken])
     return CodeSet(codewords=draws[accepted], min_block_distance=int(achieved))
+
+
+def _compatible(dists: np.ndarray, min_dist: int) -> np.ndarray:
+    """Which pairs of sign matrices may both be codewords, from (blocks, R, C) block distances.
+
+    At least min_dist in every block, or, for min_dist < 1, not equal.
+    """
+    if min_dist >= 1:
+        return (dists >= min_dist).all(axis=0)
+    return dists.any(axis=0)
 
 
 def _block_signs(codewords: np.ndarray) -> np.ndarray:
@@ -172,9 +196,11 @@ def _block_hamming_from_signs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     Two +-1 rows of length L that agree in a places have dot product
     a - (L - a), so their Hamming distance is (L - dot) / 2; the dot
-    products are small integers and exact in float.
+    products are small integers and exact in float.  The distances overwrite
+    the products, so a large stack holds one (blocks, R, C) array, not three.
     """
-    return (rows.shape[-1] - rows @ cols.transpose(0, 2, 1)) / 2.0
+    dots = rows @ cols.transpose(0, 2, 1)
+    return np.divide(np.subtract(rows.shape[-1], dots, out=dots), 2.0, out=dots)
 
 
 def _check_counts(n_counts, M: int) -> np.ndarray:
@@ -412,13 +438,15 @@ def hard_instance_eps(
     eps_s^2 = ((d-1)/16 - 1/M) * sigma_xi^2 / (2 sigma_x^2 B_s^2 n_s): the
     radius at which members differing in all of block s are ((d-1)/16 - 1/M)
     apart in KL.  It is clamped to (0, 1] with a warning when small n pushes
-    it above 1.  Needs M(d-1) > 16, and d, M and B_s as ``PackedFamily``
-    checks them.
+    it above 1.  Needs M(d-1) > 16, d, M and B_s as ``PackedFamily`` checks
+    them, and M positive counts.
     """
     B_s = build_family(d, M, B_s, 1.0).B_s
     if M * (d - 1) <= 16:
         raise ParameterError(f"need M(d-1) > 16, got d={d}, M={M}")
-    n_counts = _per_group(n_counts, M, "n_counts")
+    n_counts = _check_counts(n_counts, M)
+    if not np.all(n_counts > 0.0):
+        raise ParameterError(f"n_counts must be positive for a packing radius, got {n_counts}")
     # an overflowed square gives a radius of 0, inf or NaN, rejected below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         eps_sq = ((d - 1) / 16.0 - 1.0 / M) / _flip_kl(B_s, 1.0, n_counts, sigma_x, sigma_xi)

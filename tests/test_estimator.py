@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _support import make_params
 from fairlinreg import (
@@ -28,6 +30,8 @@ from fairlinreg.estimator import (
     _cell_table,
     _half_split,
     _sample_cells,
+    _solve_normal_equations,
+    _well_conditioned,
 )
 from fairlinreg.model import _ModelStack
 
@@ -142,6 +146,117 @@ class TestOls:
         x = np.ones((10, 2))  # rank 1
         with pytest.raises(SingularMatrixError):
             ols(x, np.ones(10))
+
+
+SPECTRA = {
+    "geometric": lambda d, c: np.geomspace(1.0, 1.0 / c, d),
+    "one small": lambda d, c: np.r_[np.ones(d - 1), 1.0 / c][-d:],
+    "one large": lambda d, c: np.r_[c, np.ones(d - 1)][:d] / c,
+}
+
+
+def gram_with_conditions(rng, d, conditions, scale=1.0, spectrum="geometric"):
+    """A stack of d x d Gram matrices, one per condition c: eigenvalues from scale to scale / c.
+
+    ``spectrum`` spaces the eigenvalues geometrically, or puts all but the
+    smallest (or all but the largest) at one end.
+    """
+    stack = []
+    for c in conditions:
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        g = (q * (scale * SPECTRA[spectrum](d, c))) @ q.T
+        stack.append(np.tril(g) + np.tril(g, -1).T)  # exactly symmetric, as XᵀX is
+    return np.array(stack)
+
+
+def reference_gate(gram):
+    """The condition gate with ``eigvalsh`` on every matrix: its message, or None if it passes."""
+    eig = np.linalg.eigvalsh(gram)
+    lo, hi = eig[..., 0], eig[..., -1]
+    condition = np.divide(hi, lo, out=np.full(np.shape(lo), np.inf), where=lo > 0.0)
+    if np.any(condition > MAX_GRAM_CONDITION):
+        return (
+            f"Gram matrix condition estimate {condition.max():.3g} exceeds {MAX_GRAM_CONDITION:.0e}"
+        )
+    return None
+
+
+def gate(gram):
+    """``_solve_normal_equations``'s gate message, or None if it solves."""
+    try:
+        _solve_normal_equations(gram, np.ones(gram.shape[:-1]))
+    except SingularMatrixError as exc:
+        return str(exc)
+    return None
+
+
+class TestGramGate:
+    """The Cholesky screen changes no decision and no message of the eigvalsh gate."""
+
+    @staticmethod
+    def _no_eigvalsh(monkeypatch):
+        def refuse(gram):
+            raise AssertionError("eigvalsh ran on a screened stack")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+    @pytest.mark.parametrize(
+        "d, scale", [(1, 1.0), (5, 1.0), (9, 1.0), (12, 1.0), (9, 1e200), (9, 1e-200)]
+    )
+    @pytest.mark.filterwarnings("error")  # huge or tiny entries overflow nothing
+    def test_well_conditioned_stack_skips_eigvalsh(self, monkeypatch, d, scale):
+        gram = gram_with_conditions(np.random.default_rng(d), d, [1.0, 10.0, 100.0] * 40, scale)
+        want = np.linalg.solve(gram, np.ones(gram.shape[:-1] + (1,)))[..., 0]
+        assert reference_gate(gram) is None
+        self._no_eigvalsh(monkeypatch)
+        assert np.array_equal(_solve_normal_equations(gram, np.ones(gram.shape[:-1])), want)
+
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.filterwarnings("error")
+    def test_one_failing_matrix_gives_the_reference_message(self, scale, spectrum):
+        conditions = [3.0] * 20 + [1.01e12] + [3.0] * 5
+        gram = gram_with_conditions(np.random.default_rng(7), 12, conditions, scale, spectrum)
+        assert _well_conditioned(gram).tolist() == [True] * 20 + [False] + [True] * 5
+        assert gate(gram) == reference_gate(gram) is not None
+        assert gate(gram[20]) == reference_gate(gram[20])  # one matrix, not a stack
+
+    @pytest.mark.parametrize("low", [0.0, -1.0])
+    @pytest.mark.filterwarnings("error")
+    def test_singular_or_indefinite_matrix_reads_inf(self, low):
+        gram = np.tile(np.eye(4), (6, 1, 1))
+        gram[3] = np.diag([2.0, 1.0, low, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        assert not _well_conditioned(gram).any()
+        message = "Gram matrix condition estimate inf exceeds 1e+12"
+        assert gate(gram) == reference_gate(gram) == message
+        assert gate(gram[3]) == message
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_or_zero_matrix_is_never_cleared(self):
+        bad_matrices = (
+            np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]), np.zeros((3, 3)), -np.eye(3)
+        )
+        for bad in bad_matrices:
+            assert _well_conditioned(np.array([np.eye(3), bad])).tolist() == [True, False]
+
+    @given(
+        d=st.integers(1, 12),
+        log_conditions=st.lists(st.floats(0.0, 14.0), min_size=1, max_size=8),
+        log_scale=st.floats(-150.0, 150.0),
+        spectrum=st.sampled_from(sorted(SPECTRA)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("error")
+    def test_same_decision_and_message_as_eigvalsh(
+        self, d, log_conditions, log_scale, spectrum, seed
+    ):
+        gram = gram_with_conditions(
+            np.random.default_rng(seed), d, 10.0 ** np.array(log_conditions), 10.0 ** log_scale,
+            spectrum,
+        )
+        assert gate(gram) == reference_gate(gram)
 
 
 class TestFit:

@@ -24,7 +24,7 @@ from fairlinreg import (
     two_point_bound,
     validate_params,
 )
-from fairlinreg.lower_bound import block_hamming
+from fairlinreg.lower_bound import _GV_CHUNK, block_hamming
 
 
 def random_sign_matrix(rng, M, width):
@@ -122,6 +122,16 @@ class TestGvCode:
             (70, 3, 30, 150),
             (8, 4, 1, 2000),
             (16, 8, 2, 300),
+            # the chunk edges of the greedy's walk
+            (8, 4, 1, _GV_CHUNK - 1),
+            (8, 4, 1, _GV_CHUNK),
+            (8, 4, 1, _GV_CHUNK + 1),
+            (8, 4, 1, 3 * _GV_CHUNK + 5),
+            (4, 3, 5, 2 * _GV_CHUNK + 1),  # every chunk after the first rejected whole
+            (2, 1, 0, 3 * _GV_CHUNK + 5),  # all 4 codewords found early, then only duplicates
+            (2, 3, 0, 3 * _GV_CHUNK + 5),  # min_dist 0 over 3 and 4 blocks: duplicates only
+            (1, 4, 0, 3 * _GV_CHUNK + 5),
+            (8, 0, 1, _GV_CHUNK + 6),      # no blocks: every candidate is accepted
         ],
     )
     def test_equals_sequential_greedy(self, block_length, blocks, min_dist, budget):
@@ -425,6 +435,16 @@ class TestHardInstanceEps:
     def test_hand_evaluation(self):
         eps = hard_instance_eps(9, 4, 1.0, 1.0, 1.0, [100] * 4)
         assert np.allclose(eps ** 2, 0.00125)
+
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
+    @pytest.mark.parametrize(
+        "n_counts", [[-5, 10, 10, 10], [0, 10, 10, 10], [100] * 3, [100] * 5, 100.0, [100]]
+    )
+    def test_bad_n_counts_rejected(self, n_counts):
+        # a wrong length or a scalar is a DimensionError, a zero or negative count a ParameterError
+        error = DimensionError if np.shape(n_counts) != (4,) else ParameterError
+        with pytest.raises(error, match="n_counts"):
+            hard_instance_eps(9, 4, 1.0, 1.0, 1.0, n_counts)
 
     def test_clamping_warns(self):
         with pytest.warns(UserWarning):
