@@ -178,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument(
         "--threads", type=int, default=1,
         help="worker threads (default 1: the calling thread runs the jobs). Jobs hold "
-        "the GIL, so threads > 1 seldom beat 1: on a 2-core host, 2 threads ran a "
-        "24-trial n-ladder at about 0.85x the trials/s of 1",
+        "the GIL between numpy calls, so only large-d grids gain: on 2 cores, 2 threads "
+        "ran n=64000 d=33 M=8 1.76x as fast as 1, and n <= 16000 d <= 5 at 0.51x",
     )
     sw.add_argument("--out", default=None)
 

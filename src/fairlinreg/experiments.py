@@ -48,7 +48,6 @@ from .model import (
     _streams,
     _violations,
     from_dict,
-    norm_diversity_factor,
 )
 from .oracle import _fair, _l2_distance
 
@@ -120,9 +119,10 @@ def random_valid_params(
     with r = min(4, B^2), and means uniform in the U-ball.  Group
     probabilities are balanced, and on that range the norm-diversity factor
     stays below B^2 (at most about 3.43 at r = 4, about 1 + 3 (B - 1)^2 as
-    B -> 1), so every draw meets the bound and the rejection loop only
-    guards round-off.  B < 1, or B = 1 with M >= 2, admits no norms and is
-    a ConfigError before any draw.  This is ``_draw_models`` on one generator.
+    B -> 1), so every draw meets the bound.  At B = 1 the range is the
+    single point 1, every norm is exactly 1 and the factor is 1, for any M.
+    B < 1 admits no norms and is a ConfigError before any draw.  This is
+    ``_draw_models`` on one generator.
     """
     models = _draw_models(d, M, B, U, sigma_x, sigma_xi, [rng])
     return ModelParams(
@@ -136,16 +136,16 @@ def _draw_models(
 ) -> _ModelStack:
     """``random_valid_params`` on each generator, checked and stacked as one batch.
 
-    Each generator draws its norms (until they meet the bound), directions,
-    mean directions and radii in turn, so a model depends only on its own
-    generator; the arithmetic after the draws is elementwise or per row.
-    A model that fails a constraint is a ConfigError.
+    Each generator draws its norms, directions, mean directions and radii
+    in turn, once each, so a model depends only on its own generator; the
+    arithmetic after the draws is elementwise or per row.  ``_violations``
+    checks every constraint of the batch, and a model that fails one is a
+    ConfigError.
     """
-    if B < 1.0 or (B == 1.0 and M >= 2):
+    if B < 1.0:
         raise ConfigError(
-            f"B={B!r} leaves no valid norms for M={M}: the norm-diversity factor "
-            "of balanced groups must be <= B^2 but is at least 1, and equals 1 "
-            "only when all norms are equal, which log-uniform draws never are"
+            f"B={B!r} leaves no valid norms: the norm-diversity factor of "
+            "balanced groups must be <= B^2 but is at least 1"
         )
     T = len(rngs)
     p = np.full(M, 1.0 / M)
@@ -154,13 +154,7 @@ def _draw_models(
     normals = np.empty((T, 2, M, d))  # each model's directions, then its mean directions
     uniforms = np.empty((T, M))
     for t, rng in enumerate(rngs):
-        for _ in range(10_000):
-            draw = np.exp(rng.uniform(*log_range, size=M))
-            if norm_diversity_factor(p, draw) <= B * B:  # B ** 2 on a float can overflow
-                break
-        else:
-            raise ConfigError("could not sample norms satisfying the diversity bound")
-        norms[t] = draw
+        norms[t] = np.exp(rng.uniform(*log_range, size=M))
         rng.standard_normal(out=normals[t])
         rng.random(out=uniforms[t])
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)

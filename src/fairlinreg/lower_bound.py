@@ -124,6 +124,10 @@ class CodeSet:
 # Candidates per step of ``gv_code``'s greedy: its distances among a chunk's
 # survivors cost _GV_CHUNK^2 per block, and its scan one step per survivor.
 _GV_CHUNK = 64
+# Accepted codewords per Gram product of a chunk against them: bounds that
+# product to (blocks, _GV_SLICE, _GV_CHUNK) floats, 4 MB at 8 blocks, however
+# many codewords the search has accepted.
+_GV_SLICE = 1024
 
 
 def gv_code(
@@ -138,17 +142,21 @@ def gv_code(
 
     All ``budget`` candidates are drawn at once (the same draws, in the same
     order, as one at a time) and the greedy walks them in chunks of
-    _GV_CHUNK.  One Gram product gives a chunk's block distances to the
-    codewords accepted so far, and only the candidates far enough from all
-    of them survive; a second gives the distances among the survivors, and
-    a forward scan accepts each survivor still live and drops the later ones
-    too close to it.  Codewords and distance are those of the one-at-a-time
-    greedy.
+    _GV_CHUNK.  Gram products against _GV_SLICE accepted codewords at a
+    time give a chunk's block distances to the codewords accepted so far,
+    and only the candidates far enough from all of them survive; one more
+    gives the distances among the survivors, and a forward scan accepts each
+    survivor still live and drops the later ones too close to it.  Codewords
+    and distance are those of the one-at-a-time greedy.  block_length and
+    blocks are integers >= 1, and min_dist an integer >= 0, where 0 rejects
+    only duplicates.
     """
-    if block_length < 1:
-        raise ParameterError(f"block length must be >= 1, got {block_length}")
-    if not _is_int(budget) or budget < 0:
-        raise ParameterError(f"budget must be an integer >= 0, got {budget!r}")
+    for name, value, least in (
+        ("block_length", block_length, 1), ("blocks", blocks, 1),
+        ("min_dist", min_dist, 0), ("budget", budget, 0),
+    ):
+        if not _is_int(value) or value < least:
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = _rng(seed)
     draws = rng.choice((-1, 1), size=(budget, blocks, block_length)).astype(np.int8)
     codes = np.empty((blocks, budget, block_length))  # the accepted codewords' signs
@@ -156,9 +164,16 @@ def gv_code(
     achieved = float(block_length)  # max possible per-block distance
     for start in range(0, budget, _GV_CHUNK):
         chunk = _block_signs(draws[start:start + _GV_CHUNK])
-        dists = _block_hamming_from_signs(codes[:, :len(accepted)], chunk)
-        survivors = np.flatnonzero(_compatible(dists, min_dist).all(axis=0))
-        closest = dists.min(axis=(0, 1), initial=block_length)[survivors]
+        far = np.ones(chunk.shape[1], dtype=bool)
+        closest = np.full(chunk.shape[1], float(block_length))
+        for at in range(0, len(accepted), _GV_SLICE):
+            dists = _block_hamming_from_signs(
+                codes[:, at:min(at + _GV_SLICE, len(accepted))], chunk
+            )
+            far &= _compatible(dists, min_dist).all(axis=0)
+            np.minimum(closest, dists.min(axis=(0, 1)), out=closest)
+        survivors = np.flatnonzero(far)
+        closest = closest[survivors]
         signs = chunk[:, survivors]
         inner = _block_hamming_from_signs(signs, signs)
         compatible = _compatible(inner, min_dist)
@@ -179,7 +194,7 @@ def gv_code(
 def _compatible(dists: np.ndarray, min_dist: int) -> np.ndarray:
     """Which pairs of sign matrices may both be codewords, from (blocks, R, C) block distances.
 
-    At least min_dist in every block, or, for min_dist < 1, not equal.
+    At least min_dist in every block, or, for min_dist 0, not equal.
     """
     if min_dist >= 1:
         return (dists >= min_dist).all(axis=0)

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import numbers
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -465,7 +466,10 @@ class Dataset:
             if d < 1:
                 raise ConfigError(f"dataset CSV {path}: header needs x columns, s and y")
             try:
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+                with warnings.catch_warnings():
+                    # no data rows is the ConfigError below, not a warning first
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise ConfigError(f"malformed dataset CSV {path}: {exc}") from exc
         if table.size == 0:

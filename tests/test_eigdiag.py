@@ -58,6 +58,10 @@ class TestGramEigs:
         with pytest.raises(ParameterError):
             gram_eigs(np.array([[1.0, np.nan]]))
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ParameterError, match="at least one row"):
+            gram_eigs(np.empty((0, 3)))
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_gram_rejected(self):
         # finite rows whose second moments are beyond the float range
@@ -151,6 +155,11 @@ class TestTailCheck:
     def test_bound_at_sigma_x_too_large_to_square(self):
         # sigma_x ** 2 on a float raised a bare OverflowError here
         assert min_eig_tail_bound(0.5, 1e200, 60) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_bound_past_the_float_range_is_inf(self):
+        # the power overflows: a bound above 1 is vacuous, and reads inf
+        assert min_eig_tail_bound(0.5, 1e-3, 6000) == np.inf
 
     @pytest.mark.parametrize("sigma_x", [0.0, -1.0, np.nan, np.inf])
     def test_bound_rejects_bad_sigma_x(self, sigma_x):

@@ -112,37 +112,48 @@ class TestRandomValidParams:
             assert np.all(norms >= B / 4 - 1e-12) and np.all(norms <= B + 1e-12)
 
     @pytest.mark.parametrize("B", [1.0 + 1e-9, 1.0001, 1.5, 2.0, 3.0, 1e200])
-    def test_every_norm_draw_meets_the_diversity_bound(self, B, monkeypatch):
-        # norms in [B / min(4, B^2), B]; with [B / 4, B], B = 1.0001 and M = 6
-        # spent all 10,000 rejection draws
-        draws = []
-
-        def counted(p, norms):
-            draws.append(norms)
-            return norm_diversity_factor(p, norms)
-
-        monkeypatch.setattr(experiments, "norm_diversity_factor", counted)
+    def test_every_norm_draw_meets_the_diversity_bound(self, B):
+        # every model valid, with its norms in [B / min(4, B^2), B]
         rng = np.random.default_rng(1)
+        norms = []
         for _ in range(20):
             params = random_valid_params(2, 6, B, 1.0, 1.0, 1.0, rng)
             assert validate_params(params) == []
-        norms = np.array(draws)
-        assert norms.shape == (20, 6)
+            norms.append(params.beta_norms)
+        norms = np.array(norms)
         assert np.all(norms >= B / min(4.0, B * B) * (1 - 1e-12))
         assert np.all(norms <= B * (1 + 1e-12))
 
-    @pytest.mark.parametrize("B, M", [(0.5, 3), (0.5, 1), (1.0, 3), (1.0, 2)])
+    @pytest.mark.parametrize(
+        "B", [1.0 + 1e-12, 1.0 + 1e-9, 1.0001, 1.1, 1.5, math.sqrt(2.0), 2.0, 3.0, 1e100, 1e200]
+    )
+    def test_every_corner_of_the_norm_range_meets_the_diversity_bound(self, B):
+        # why one norm draw suffices: no corner of [B / min(4, B^2), B]^M, with
+        # j norms at the top of the range and M - j at the bottom, gives
+        # balanced groups a factor above B^2, and random and Nelder-Mead
+        # searches of the interior found none above the largest corner
+        low = B / min(4.0, B * B)
+        for M in range(1, 65):
+            corners = np.where(np.arange(M) < np.arange(M + 1)[:, None], B, low)
+            factors = norm_diversity_factor(np.full(M, 1.0 / M), corners)
+            assert np.all(factors <= B * B), M
+
+    @pytest.mark.parametrize("B, M", [(0.5, 3), (0.5, 1), (1.0 - 1e-12, 2)])
     def test_unreachable_diversity_bound_rejected_before_drawing(self, B, M):
-        # balanced groups have a diversity factor >= 1, equal to 1 only for equal norms
+        # balanced groups have a diversity factor >= 1 > B^2
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError, match="norm-diversity factor"):
             random_valid_params(3, M, B, 1.0, 1.0, 1.0, rng)
         assert rng.bit_generator.state == state
 
-    def test_B_one_with_one_group_accepted(self):
-        params = random_valid_params(3, 1, 1.0, 1.0, 1.0, 1.0, np.random.default_rng(0))
-        assert validate_params(params) == []
+    @pytest.mark.parametrize("M", [1, 2, 3, 6])
+    def test_B_one_accepted(self, M):
+        # at B = 1 the norm range is the single point 1: every norm is exactly 1
+        for seed in range(5):
+            params = random_valid_params(3, M, 1.0, 1.0, 1.0, 1.0, np.random.default_rng(seed))
+            assert validate_params(params) == []
+            assert np.all(np.abs(params.beta_norms - 1.0) <= 1e-15)
 
     @staticmethod
     def _reference_draw(d, M, B, U, rng):
@@ -320,33 +331,6 @@ class TestRunSweep:
         gates = np.array([e.gate_12d for e in estimates])
         assert not gates.any() if config.n_grid == (45,) else gates.all()
 
-    def test_rejected_norm_draw_is_redrawn_from_the_trials_stream(self, monkeypatch):
-        # a factor that rejects trial 2's first norm draw sends that trial
-        # through the rejection loop: its model, and so its row, changes, but
-        # stays what the single-trial functions give in the same stream
-        config = SweepConfig(n_grid=(2000,), d_grid=(2,), M_grid=(3,), trials=4, seed=41)
-        plain = run_sweep(config).rows
-        seen = []
-
-        def recording(p, norms):
-            seen.append(norms.copy())
-            return norm_diversity_factor(p, norms)
-
-        monkeypatch.setattr(experiments, "norm_diversity_factor", recording)
-        key = np.random.SeedSequence(config.seed, spawn_key=(0, 2, 0))
-        random_valid_params(2, 3, config.B, 1.0, 1.0, 1.0, np.random.default_rng(key))
-        first_draw = seen[0]
-
-        def rejecting(p, norms):
-            rejected = np.array_equal(norms, first_draw)
-            return math.inf if rejected else norm_diversity_factor(p, norms)
-
-        monkeypatch.setattr(experiments, "norm_diversity_factor", rejecting)
-        rows = run_sweep(config).rows
-        expect = [self._single_trial_row(config, 0, (2000, 2, 3), t)[1] for t in range(4)]
-        assert rows == expect
-        assert [row == old for row, old in zip(rows, plain)] == [True, True, False, True]
-
     @pytest.mark.parametrize("threads", [0, -3])
     def test_nonpositive_threads_rejected(self, threads):
         config = SweepConfig(n_grid=(300,), d_grid=(2,), M_grid=(2,), trials=1, seed=5)
@@ -455,6 +439,10 @@ class TestFitSlope:
     def test_too_few_points_rejected(self):
         with pytest.raises(ParameterError):
             fit_slope([(1.0, 1.0), (2.0, 0.5)])
+
+    def test_values_without_pairs_rejected(self):
+        with pytest.raises(ParameterError, match="pairs"):
+            fit_slope([1, 2, 3])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ParameterError):
@@ -693,6 +681,7 @@ class TestCli:
             )
         )
         assert main(["sweep", "--config", str(good), "--out", ""]) == 2
+        assert main(["sweep", "--config", str(good)]) == 2  # neither --out nor 'out'
         latin1 = tmp_path / "latin1.bin"
         latin1.write_bytes(b'{"d": "\xe9"}\n')
         for argv in (
@@ -709,8 +698,9 @@ class TestCli:
             "1,2,1,3\n1,abc,1,3\n",  # non-numeric cell
             "1,nan,1,3\n1,2,2,inf\n",  # non-finite values
             "1,2,0,3\n",             # group label outside 1..M
+            "",                      # no data rows
         ],
-        ids=["short_row", "non_numeric", "non_finite", "bad_label"],
+        ids=["short_row", "non_numeric", "non_finite", "bad_label", "no_rows"],
     )
     def test_malformed_csv_exit_code(self, tmp_path, rows):
         data = tmp_path / "bad.csv"
@@ -766,6 +756,7 @@ class TestCli:
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1000", "--seed", "-1"],
             ["generate", "--params", "{params}", "--n", "0"],
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "0"],
+            ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "a,b"],
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1", "--trials", "2"],
             ["lower-bound", "--d", "2", "--M", "4", "--n-grid", "1000"],
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1000", "--B", "-1"],
@@ -783,7 +774,7 @@ class TestCli:
         ],
         ids=[
             "generate_seed", "fit_seed", "diagnose_seed", "lower_bound_seed",
-            "generate_n0", "n_grid_0", "n_grid_zero_group_count",
+            "generate_n0", "n_grid_0", "n_grid_not_ints", "n_grid_zero_group_count",
             "lower_bound_small_dM", "lower_bound_B",
             "threads_0", "threads_negative",
             "lower_bound_M0", "lower_bound_M_negative", "lower_bound_d1",
@@ -906,10 +897,13 @@ class TestCli:
         assert len(out.read_text().splitlines()) == 3
 
     @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
-    @pytest.mark.parametrize("extra", [{"B": 1.0001, "M_grid": [6]}, {"B": 1e200}])
+    @pytest.mark.parametrize(
+        "extra", [{"B": 1.0001, "M_grid": [6]}, {"B": 1e200}, {"B": 1.0, "M_grid": [2, 6]}]
+    )
     def test_extreme_B_sweep_succeeds(self, tmp_path, capsys, extra):
-        # B = 1.0001 spent every norm draw, and B = 1e200 overflowed the
-        # diversity factor; squared errors past the float range read inf
+        # B = 1.0001 spent every norm draw, B = 1e200 overflowed the diversity
+        # factor, and B = 1 with M >= 2 was rejected; squared errors past the
+        # float range read inf
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
             {"n_grid": [300], "d_grid": [2], "M_grid": [2], "trials": 2, "seed": 4, **extra}
@@ -919,7 +913,7 @@ class TestCli:
         assert capsys.readouterr().err == ""
         header, *rows = out.read_text().splitlines()[1:]
         columns = header.split(",")
-        assert len(rows) == 2
+        assert len(rows) == 2 * len(extra.get("M_grid", [2]))
         for row in rows:
             values = dict(zip(columns, row.split(",")))
             assert np.isfinite(float(values["w2_unfairness"]))

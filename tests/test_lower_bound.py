@@ -24,7 +24,7 @@ from fairlinreg import (
     two_point_bound,
     validate_params,
 )
-from fairlinreg.lower_bound import _GV_CHUNK, block_hamming
+from fairlinreg.lower_bound import _GV_CHUNK, _GV_SLICE, block_hamming
 
 
 def random_sign_matrix(rng, M, width):
@@ -76,6 +76,9 @@ class TestPackedFamily:
             PackedFamily(d=4, M=2, B_s=[1.0, 1.0, 1.0], eps_s=0.5)
         family = PackedFamily(d=4, M=2, B_s=1.0, eps_s=[0.5, 1.0])
         assert family.B_s.shape == (2,) and not family.B_s.flags.writeable
+        for v in (np.ones((2, 2)), np.ones((3, 3)), np.ones(6)):
+            with pytest.raises(DimensionError):
+                family.beta_of(v)
 
 
 class TestGvCode:
@@ -131,7 +134,8 @@ class TestGvCode:
             (2, 1, 0, 3 * _GV_CHUNK + 5),  # all 4 codewords found early, then only duplicates
             (2, 3, 0, 3 * _GV_CHUNK + 5),  # min_dist 0 over 3 and 4 blocks: duplicates only
             (1, 4, 0, 3 * _GV_CHUNK + 5),
-            (8, 0, 1, _GV_CHUNK + 6),      # no blocks: every candidate is accepted
+            # more accepted codewords than one Gram product against them holds
+            (11, 1, 1, 2 * _GV_SLICE + 100),
         ],
     )
     def test_equals_sequential_greedy(self, block_length, blocks, min_dist, budget):
@@ -165,6 +169,18 @@ class TestGvCode:
     def test_bad_budget_rejected(self, budget):
         with pytest.raises(ParameterError):
             gv_code(block_length=8, blocks=2, min_dist=1, budget=budget, seed=0)
+
+    @pytest.mark.parametrize(
+        "block_length, blocks, min_dist",
+        [(0, 2, 1), (-1, 2, 1), (2.5, 2, 1), (8, 0, 1), (8, -1, 1), (8, 2.5, 1),
+         (8, True, 1), (8, 2, -3), (8, 2, np.nan), (8, 2, 1.0), (8, 2, None)],
+    )
+    def test_bad_sizes_rejected_before_any_draw(self, block_length, blocks, min_dist):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError):
+            gv_code(block_length, blocks, min_dist, budget=10, seed=rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("seed", [-1, 1.5, None])
     def test_bad_seed_rejected(self, seed):
@@ -243,6 +259,19 @@ class TestKl:
         exact = kl_conditional(theta, theta_prime, n_counts)
         est, se = kl_conditional_sample(theta, theta_prime, n_counts, 500_000, seed=6)
         assert abs(est - exact) <= 4 * se
+
+    def test_unshared_or_noiseless_models_rejected(self):
+        theta = make_params([[1.0, 0.2], [0.3, 0.8]], B=2.0)
+        for other, error in [
+            (make_params([[1.0, 0.2, 0.0], [0.3, 0.8, 0.0]], B=2.0), DimensionError),
+            (make_params([[1.0, 0.2]], B=2.0), DimensionError),
+            (make_params([[1.0, 0.2], [0.3, 0.8]], sigma_x=2.0, B=2.0), ParameterError),
+        ]:
+            with pytest.raises(error):
+                kl_conditional(theta, other, [10, 10])
+        noiseless = make_params([[1.0, 0.2], [0.3, 0.8]], sigma_xi=0.0, B=2.0)
+        with pytest.raises(ParameterError, match="sigma_xi > 0"):
+            kl_conditional(noiseless, noiseless, [10, 10])
 
     @pytest.mark.parametrize("seed", [-1, 0.5], ids=["negative", "float"])
     def test_sample_kl_bad_seed_rejected(self, seed):

@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 from _support import make_params
 from fairlinreg import (
+    DimensionError,
     GaussianLaw1D,
     GroupAffineRegressor,
     ParameterError,
@@ -109,6 +110,17 @@ class TestConditionalLaw:
             m = mask.sum()
             assert abs(out.mean() - law.mean) < 5 * law.std / np.sqrt(m)
             assert abs(out.std() - law.std) < 5 * law.std / np.sqrt(2 * m)
+
+
+    def test_bad_law_regressor_or_group_rejected(self):
+        with pytest.raises(ParameterError, match="std"):
+            GaussianLaw1D(0.0, -1.0)
+        params = make_params([[1.0, 0.0], [0.0, 1.0]])
+        wide = GroupAffineRegressor(w=np.zeros((2, 3)), b=np.zeros(2))
+        with pytest.raises(DimensionError, match="shape"):
+            conditional_law(wide, params, 0)
+        with pytest.raises(DimensionError, match="out of range"):
+            conditional_law(GroupAffineRegressor(w=np.zeros((2, 2)), b=np.zeros(2)), params, 5)
 
 
 class TestKolmogorov:
@@ -269,6 +281,13 @@ class TestUnfairness:
         assert laws[0].mean == pytest.approx(laws[1].mean, abs=1e-12)
         assert laws[0].std == pytest.approx(laws[1].std, abs=1e-12)
         assert unfairness(f, params).w2_max < 1e-12
+
+    @pytest.mark.parametrize("M, d", [(3, 2), (2, 3), (1, 2)])
+    def test_wrong_shaped_regressor_rejected(self, M, d):
+        params = make_params([[1.0, 0.0], [0.0, 1.0]])
+        f = GroupAffineRegressor(w=np.zeros((M, d)), b=np.zeros(M))
+        with pytest.raises(DimensionError, match="shape"):
+            unfairness(f, params)
 
 
 class TestMcExcessRisk:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _support import make_params
 from fairlinreg import (
+    ConfigError,
     Dataset,
     DimensionError,
     GroupAffineRegressor,
@@ -47,6 +48,11 @@ class TestValidateParams:
         params = make_params([[1.0, 0.0], [0.01, 0.0]], B=1.0)
         report = validate_params(params)
         assert any("norm-diversity violated" in line for line in report)
+
+    def test_diversity_factor_of_a_zero_norm_rejected(self):
+        params = make_params([[1.0, 0.0], [0.0, 0.0]], B=1.0)
+        with pytest.raises(ParameterError, match="zero-norm"):
+            params.diversity_factor()
 
     def test_mean_norm_violation_reported(self):
         params = make_params([[1.0, 0.0]], mu=[[3.0, 0.0]], U=1.0)
@@ -225,6 +231,27 @@ class TestConstructorChecks:
             Dataset(x=[[1.0, np.inf]], s=[0], y=[0.0], M=1)
 
     @pytest.mark.parametrize(
+        "x, s, y, match",
+        [
+            ([1.0, 2.0], [0, 0], [0.0, 0.0], "shapes"),
+            ([[1.0], [2.0]], [0], [0.0, 0.0], "shapes"),
+            ([[1.0], [2.0]], [0, 0], [0.0], "shapes"),
+            ([[1.0], [2.0]], [0, 2], [0.0, 0.0], "out of range"),
+            ([[1.0], [2.0]], [-1, 0], [0.0, 0.0], "out of range"),
+        ],
+    )
+    def test_dataset_bad_shapes_or_labels_rejected(self, x, s, y, match):
+        with pytest.raises(DimensionError, match=match):
+            Dataset(x=x, s=s, y=y, M=2)
+
+    def test_regressor_shape_and_predict_width_rejected(self):
+        with pytest.raises(DimensionError, match="b must be"):
+            GroupAffineRegressor(w=np.zeros((2, 3)), b=np.zeros(3))
+        f = GroupAffineRegressor(w=np.zeros((2, 3)), b=np.zeros(2))
+        with pytest.raises(DimensionError, match="dimension 2, expected 3"):
+            f.predict(np.zeros((4, 2)), np.zeros(4, dtype=np.int64))
+
+    @pytest.mark.parametrize(
         "beta",
         [
             "abc", None, [[1.0, None], [0.0, 1.0]], [[1.0, 0.0], [0.0]],
@@ -279,6 +306,19 @@ class TestSerialization:
         assert np.array_equal(back.x, data.x)
         assert np.array_equal(back.s, data.s)
         assert np.array_equal(back.y, data.y)
+
+    @pytest.mark.filterwarnings("error")  # no numpy warning before the error
+    @pytest.mark.parametrize(
+        "text, match",
+        [("x_1,x_2,s,y\n", "no data rows"), ("x_1,x_2,s,y\r\n\r\n", "no data rows"),
+         ("s,y\n1,0.5\n", "header needs x columns")],
+        ids=["header_only", "header_and_blank_line", "no_x_columns"],
+    )
+    def test_dataset_csv_without_x_columns_or_rows_rejected(self, tmp_path, text, match):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ConfigError, match=match):
+            Dataset.from_csv(path, M=2)
 
     def test_dataset_csv_bytes(self, tmp_path):
         # reference: the csv module's default dialect, 17 significant digits

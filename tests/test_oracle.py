@@ -11,6 +11,7 @@ import pytest
 import fairlinreg
 from fairlinreg import (
     DegenerateDirectionError,
+    DimensionError,
     GroupAffineRegressor,
     analytic_excess_risk,
     analytic_unfair_gap,
@@ -100,6 +101,12 @@ class TestQuantileCompose:
         params = make_params([[1.0], [2.0]], B=2.0)
         out = quantile_compose_fdp(params, np.array([[40.0], [-40.0]]), 0)
         assert out.tolist() == [np.inf, -np.inf]
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 1)), np.zeros((4, 3))])
+    def test_wrong_width_rejected(self, x):
+        params = make_params([[1.0, 0.0], [0.0, 2.0]], B=2.0)
+        with pytest.raises(DimensionError, match="expected 2"):
+            quantile_compose_fdp(params, x, 0)
 
 
 class TestStandardNormal:
