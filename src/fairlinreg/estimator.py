@@ -268,38 +268,42 @@ def _sample_cells(models: _ModelStack, ns, rngs: list) -> tuple[np.ndarray, ...]
         big = m > d
         chi2 = m[big, None] - 1.0 - np.arange(d)  # degrees of freedom, replaced by the draws
         K = len(chi2)
-        bartlett, noise = np.empty((K, d, d)), np.empty((K, d + 1, 1))
-        sums = np.empty((K, d))
+        f = np.empty((K, d, d + 1))  # F = [sigma_x A | c], built in place
+        a = f[:, :, :d]
+        noise, sums = np.empty((K, d + 1, 1)), np.empty((K, d))
         start = 0
         for rng, k in zip(rngs, big.reshape(T, -1).sum(axis=1).tolist()):
             part = slice(start, start + k)
-            rng.standard_normal(out=bartlett[part])
+            a[part] = rng.standard_normal((k, d, d))
             chi2[part] = rng.chisquare(chi2[part])
             rng.standard_normal(out=sums[part])
             rng.standard_normal(out=noise[part])
             start += k
         # each group's mean and coefficients, and each trial's sigmas, once per big cell
         mu, beta = (
-            np.repeat(a.reshape(T * M, d), 6, axis=0)[big] for a in (models.mu, models.beta)
+            np.repeat(v.reshape(T * M, d), 6, axis=0)[big] for v in (models.mu, models.beta)
         )
         sigma_x, sigma_xi = (
-            np.repeat(a, 6 * M)[big, None, None] for a in (models.sigma_x, models.sigma_xi)
+            np.repeat(v, 6 * M)[big, None, None] for v in (models.sigma_x, models.sigma_xi)
         )
-        total = np.zeros((m.size, d))
-        gram = np.zeros((m.size, d, d))
-        xty = np.zeros((m.size, d))
         diag = np.arange(d)
-        f = np.empty((K, d, d + 1))  # F = [sigma_x A | c], built in place
-        a = f[:, :, :d]
-        np.multiply(bartlett, np.tri(d, k=-1), out=a)
+        a *= np.tri(d, k=-1)
         a[:, diag, diag] = np.sqrt(chi2)
         a *= sigma_x
         root_m = np.sqrt(m[big, None])
         c = sigma_x[:, 0] * sums + root_m * mu
         f[:, :, d] = c
-        gram[big] = big_gram = f @ f.transpose(0, 2, 1)
-        total[big] = root_m * c
-        xty[big] = (big_gram @ beta[:, :, None] + sigma_xi * (f @ noise))[..., 0]
+        noise = sigma_xi * (f @ noise)  # the noise's part of Xᵀy
+        # each array goes once spent, so at most two of the batch's (K, d, d)-sized
+        # arrays are live at once: F and F Fᵀ, then F Fᵀ and the cells' gram
+        del chi2, sums, mu
+        big_gram = f @ f.transpose(0, 2, 1)
+        del f, a
+        big_xty = (big_gram @ beta[:, :, None] + noise)[..., 0]
+        total = np.zeros((m.size, d))
+        gram = np.zeros((m.size, d, d))
+        xty = np.zeros((m.size, d))
+        total[big], gram[big], xty[big] = root_m * c, big_gram, big_xty
         # each generator draws its small cells after its big ones, as a trial alone does
         for cell in np.flatnonzero((m > 0) & ~big).tolist():
             t, group = divmod(cell // 6, M)

@@ -13,6 +13,7 @@ size and worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,15 +24,7 @@ import numpy as np
 from .errors import ConfigError, ParameterError
 from .estimator import ComponentEstimates, _fit_cells, _sample_cells
 from .estimator import fit  # noqa: F401  unused here; perfbench's tracer test patches this alias
-from .lower_bound import (
-    _flip_kl,
-    _flip_separation,
-    _worst_pairs,
-    build_family,
-    fano_value,
-    gv_code,
-    hard_instance_eps,
-)
+from .lower_bound import _fano_ladder, fano_value
 from .metrics import UnfairnessReport, _unfairness
 from .model import (
     ModelParams,
@@ -54,8 +47,8 @@ from .oracle import _fair, _l2_distance
 SWEEP_SCHEMA = "fairlinreg-sweep-3"
 LOWER_BOUND_SCHEMA = "fairlinreg-lower-bound-2"
 
-# Most trials fitted and scored as one batch: a sweep job is one batch of
-# the rows of consecutive cells that share (d, M).  A trial's arithmetic does
+# Most trials fitted and scored as one batch: a sweep or lower-bound job is one
+# batch of the rows of consecutive cells that share (d, M).  A trial's arithmetic does
 # not depend on its batch, so neither do the outputs; the bound caps a
 # batch's memory.
 TRIAL_BATCH = 64
@@ -244,23 +237,14 @@ def undersampled(n: int, d: int, M: int, p_min: float, delta: float) -> bool:
 
 
 def _jobs(cells: list[tuple], trials: int) -> list[list[tuple]]:
-    """A sweep's (cell, trial) rows, in CSV order, cut into jobs of (cell_idx, cell, trials) pieces.
+    """A sweep's (cell_idx, trial) rows, in CSV order, cut into jobs.
 
     A job holds at most ``TRIAL_BATCH`` rows, and a new job starts where (d, M) changes.
     """
-    jobs, room = [], 0
-    for cell_idx, cell in enumerate(cells):
-        if cell_idx and cells[cell_idx - 1][1:] != cell[1:]:
-            room = 0
-        start = 0
-        while start < trials:
-            if room == 0:
-                jobs.append([])
-                room = TRIAL_BATCH
-            stop = min(trials, start + room)
-            jobs[-1].append((cell_idx, cell, range(start, stop)))
-            room -= stop - start
-            start = stop
+    jobs = []
+    for _, run in itertools.groupby(range(len(cells)), key=lambda cell_idx: cells[cell_idx][1:]):
+        rows = [(cell_idx, trial) for cell_idx in run for trial in range(trials)]
+        jobs += [rows[at:at + TRIAL_BATCH] for at in range(0, len(rows), TRIAL_BATCH)]
     return jobs
 
 
@@ -277,18 +261,17 @@ def _fit_trials(models: _ModelStack, ns: np.ndarray, rngs: list) -> tuple:
     return _l2_distance(w - oracle_w, b - oracle_b, models), w, b, estimates
 
 
-def _run_trial(config: SweepConfig, pieces: list[tuple]) -> dict:
+def _run_trial(config: SweepConfig, cells: list[tuple], rows: list[tuple]) -> dict:
     """One sweep job: its rows, as columns in CSV order.
 
-    ``pieces`` lists (cell_idx, cell, trials) runs of consecutive cells that
-    share (d, M).  A trial draws its model from stream (cell_idx, trial, 0)
-    and its cell statistics from stream (cell_idx, trial, 1).
+    ``rows`` lists the job's (cell_idx, trial) rows, whose ``cells`` share
+    (d, M).  A trial draws its model from stream (cell_idx, trial, 0) and its
+    cell statistics from stream (cell_idx, trial, 1).
     """
-    _, (_, d, M), _ = pieces[0]
-    keys = [(cell_idx, trial) for cell_idx, _, trials in pieces for trial in trials]
-    ns = np.array([n for _, (n, _, _), trials in pieces for _ in trials])
-    T = len(keys)
-    rngs = list(_streams(config.seed, [(*key, half) for half in (0, 1) for key in keys]))
+    _, d, M = cells[rows[0][0]]
+    ns = np.array([cells[cell_idx][0] for cell_idx, _ in rows])
+    T = len(rows)
+    rngs = list(_streams(config.seed, [(*row, half) for half in (0, 1) for row in rows]))
     stack = _draw_models(d, M, config.B, config.U, config.sigma_x, config.sigma_xi, rngs[:T])
     flags = [
         undersampled(n, d, M, p_min, config.delta)
@@ -300,7 +283,7 @@ def _run_trial(config: SweepConfig, pieces: list[tuple]) -> dict:
         report = _unfairness(w, b, stack)
         return {
             "n": ns, "d": np.full(T, d), "M": np.full(T, M),
-            "B": np.full(T, config.B), "trial": np.array([trial for _, trial in keys]),
+            "B": np.full(T, config.B), "trial": np.array([trial for _, trial in rows]),
             "excess_risk": risk,
             "w2_unfairness": report.w2_max,
             "kol_unfairness": report.kol_max,
@@ -378,10 +361,10 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     ]
     jobs = _jobs(cells, config.trials)
     if threads == 1:
-        blocks = [_run_trial(config, job) for job in jobs]
+        blocks = [_run_trial(config, cells, job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(_run_trial, [config] * len(jobs), jobs))
+            blocks = list(pool.map(_run_trial, [config] * len(jobs), [cells] * len(jobs), jobs))
     result = SweepResult.from_records(blocks)
     if config.out is not None:
         result.write_csv(config.out)
@@ -393,6 +376,8 @@ def fit_slope(rows) -> tuple[float, float, float]:
     pts = np.asarray(list(rows), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ParameterError("fit_slope expects (x, y) pairs")
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError("fit_slope requires finite coordinates")
     if np.any(pts <= 0.0):
         raise ParameterError("fit_slope requires strictly positive coordinates")
     if len(set(pts[:, 0])) < 3:
@@ -419,52 +404,32 @@ def run_lower_bound_report(
 ) -> SweepResult:
     """Assemble the lower-vs-upper sandwich table over an n-ladder.
 
-    For each n: packing radii from the hard-instance formula, a randomized
-    per-block code, the worst pairwise KL, and the Fano value built from
-    the smallest pairwise two-point risk separation; next to it, the mean
-    analytic excess risk of the plugin estimator fit on cell statistics drawn
-    from one member of the same family.  trials >= 2, so each mean has a
-    standard error, n_grid is nonempty, and round(n / M) >= 1 for every n,
-    so no group's KL count is 0.
-    d, M, B_s, n_grid, seed and trials are checked before any work
-    (ParameterError, or DimensionError for a B_s of neither one nor M values).
-    The (n, trial) rows are cut as ``run_sweep`` cuts a sweep's; n's trial t
-    draws its cell statistics from stream (n's index, t, 1).
+    For each n, the Fano value, from ``lower_bound._fano_ladder``, beside the
+    mean analytic excess risk of the plugin estimator fit on cell statistics
+    drawn from the packed member it returns.  trials >= 2, so each mean has
+    a standard error.  Every input is checked before the code search
+    (ParameterError, or DimensionError for a B_s of neither one nor M
+    values).  The (n, trial) rows are cut into jobs as ``run_sweep`` cuts a
+    sweep's, each fitted as one batch; n's trial t draws its cell statistics
+    from stream (n's index, t, 1).
     """
     if not (_is_int(trials) and trials >= 2):
         raise ParameterError(f"need an integer trials >= 2 for a standard error, got {trials!r}")
     _check_seed(seed)
-    B_s = build_family(d, M, B_s, 1.0).B_s  # d, M and B_s, checked before p needs M
     n_grid = list(n_grid)
-    if not all(_is_int(n) for n in n_grid):
-        raise ParameterError(f"n_grid must hold integers, got {n_grid}")
+    members, K, kl_max, epsilon = _fano_ladder(
+        d, M, n_grid, B_s, sigma_x, sigma_xi, code_budget, seed
+    )
     n_grid = [int(n) for n in n_grid]
-    p = np.full(M, 1.0 / M)
-    if not n_grid or any(np.round(n * p[0]) < 1 for n in n_grid):
-        raise ParameterError(
-            f"n_grid must be nonempty and every n must give each of the M={M} "
-            f"groups at least one row (round(n / M) >= 1), got n_grid={n_grid}"
-        )
-    n_counts = [np.round(n * p) for n in n_grid]
-    families = [
-        build_family(d, M, B_s, hard_instance_eps(d, M, sigma_xi, sigma_x, B_s, counts))
-        for counts in n_counts
-    ]
-    code = gv_code(d - 1, M, max((d - 1) // 8, 1), code_budget, seed)
-    kl_flips = [_flip_kl(f.B_s, f.eps_s, c, sigma_x, sigma_xi) for f, c in zip(families, n_counts)]
-    sep_flips = [_flip_separation(f, p, sigma_x) for f in families]
-    kl_max, epsilon = _worst_pairs(code, kl_flips, sep_flips)
-    models = [f.params_of(code.codewords[0], p, sigma_x, sigma_xi) for f in families]
-    for params, n in zip(models, n_grid):
+    for params, n in zip(members, n_grid):
         _check_model(params, n)
-    # a batch per piece holds one n's trials, so its memory does not grow with the grid
     risks = np.concatenate([
         _fit_trials(
-            _ModelStack.of([models[n_idx]] * len(batch)), np.full(len(batch), n),
-            list(_streams(seed, [(n_idx, t, 1) for t in batch])),
+            _ModelStack.of([members[n_idx] for n_idx, _ in job]),
+            np.array([n_grid[n_idx] for n_idx, _ in job]),
+            list(_streams(seed, [(*row, 1) for row in job])),
         )[0]
         for job in _jobs([(n, d, M) for n in n_grid], trials)
-        for n_idx, (n, _, _), batch in job
     ]).reshape(len(n_grid), trials)
     # each n's risks scaled by a power of two, as ``_norm`` scales: exact, and a
     # risk above ~1e154 does not overflow when its deviation is squared
@@ -472,9 +437,8 @@ def run_lower_bound_report(
     spread = [np.ldexp(np.ldexp(r, -e).std(ddof=1), e) for r, e in zip(risks, exponent)]
     records = [
         {
-            "d": d, "M": M, "n": n, "epsilon": epsilon[n_idx], "K": code.size,
-            "kl": kl_max[n_idx],
-            "fano_value": fano_value(epsilon[n_idx], code.size, kl_max[n_idx]),
+            "d": d, "M": M, "n": n, "epsilon": epsilon[n_idx], "K": K, "kl": kl_max[n_idx],
+            "fano_value": fano_value(epsilon[n_idx], K, kl_max[n_idx]),
             "est_risk_mean": float(risks[n_idx].mean()),
             "est_risk_se": float(spread[n_idx] / math.sqrt(trials)),
         }

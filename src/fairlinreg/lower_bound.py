@@ -18,6 +18,7 @@ from .errors import DimensionError, ParameterError
 from .model import (
     ModelParams,
     _frozen_array,
+    _is_finite_real,
     _is_int,
     _rng,
     _rowdot,
@@ -356,22 +357,45 @@ def packed_pair_separation(
 _PAIR_CHUNK = 8192
 
 
-def _worst_pairs(
-    code: CodeSet, kl_flips: list, sep_flips: list
-) -> tuple[list[float], list[float]]:
-    """Each family's largest pairwise KL and smallest pairwise separation over a code.
+def _fano_ladder(
+    d: int, M: int, n_grid: list, B_s, sigma_x: float, sigma_xi: float, budget: int, seed: int
+) -> tuple[list[ModelParams], int, list[float], list[float]]:
+    """The Fano side of ``run_lower_bound_report``: each n's member, K, worst KL and separation.
 
-    ``kl_flips[k]`` and ``sep_flips[k]`` are family k's (M,) ``_flip_kl`` and
-    ``_flip_separation``.  Every pair i < j of codewords is scored, in chunks
-    of at most _PAIR_CHUNK pairs whose per-block Hamming distances come once,
-    for all families, from per-block Gram products.  Each pair's (M,) terms
-    stay a contiguous last axis, so every value is the one ``packed_pair_kl``
-    or ``packed_pair_separation`` gives.  Fewer than 2 codewords give 0 and inf.
+    Before the code search it checks d, M and B_s as ``PackedFamily`` does,
+    a nonempty n_grid of integers with round(n / M) >= 1 (no group's KL
+    count is 0), sigma_x and sigma_xi as ``hard_instance_eps`` does, and an
+    integer budget >= 2; K < 2 codewords is a ParameterError.  Every pair
+    i < j of codewords is scored in chunks of at most _PAIR_CHUNK pairs,
+    whose per-block Hamming distances come once for all n.  Each pair's (M,)
+    terms stay a contiguous last axis, so every value is the one
+    ``packed_pair_kl`` or ``packed_pair_separation`` gives.  The member is
+    each n's family at the first codeword.
     """
+    B_s = build_family(d, M, B_s, 1.0).B_s  # d, M and B_s, checked before p needs M
+    if not all(_is_int(n) for n in n_grid):
+        raise ParameterError(f"n_grid must hold integers, got {n_grid}")
+    p = np.full(M, 1.0 / M)
+    n_counts = [np.round(int(n) * p) for n in n_grid]
+    if not n_grid or any(counts[0] < 1 for counts in n_counts):
+        raise ParameterError(
+            f"n_grid must be nonempty and every n must give each of the M={M} "
+            f"groups at least one row (round(n / M) >= 1), got n_grid={n_grid}"
+        )
+    if not (_is_int(budget) and budget >= 2):
+        raise ParameterError(f"code_budget must be an integer >= 2, got {budget!r}")
+    families = [
+        build_family(d, M, B_s, hard_instance_eps(d, M, sigma_xi, sigma_x, B_s, counts))
+        for counts in n_counts
+    ]
+    kl_flips = [_flip_kl(f.B_s, f.eps_s, c, sigma_x, sigma_xi) for f, c in zip(families, n_counts)]
+    sep_flips = [_flip_separation(f, p, sigma_x) for f in families]
+    code = gv_code(d - 1, M, max((d - 1) // 8, 1), budget, seed)
     K = code.size
+    if K < 2:
+        raise ParameterError(f"Fano bound needs K >= 2 codewords, code_budget={budget} gave K={K}")
     signs = _block_signs(code.codewords)
-    kl_max = [0.0] * len(kl_flips)
-    eps_min = [math.inf] * len(sep_flips)
+    kl_max, eps_min = [0.0] * len(families), [math.inf] * len(families)
     start = 0
     while start < K - 1:
         stop = min(start + max(_PAIR_CHUNK // (K - 1 - start), 1), K - 1)
@@ -380,10 +404,11 @@ def _worst_pairs(
         upper = np.triu(np.ones(d_h.shape[1:], dtype=bool))
         d_h = np.ascontiguousarray(d_h.transpose(1, 2, 0)[upper])  # (pairs, M)
         for k, (kl_flip, sep_flip) in enumerate(zip(kl_flips, sep_flips)):
-            kl_max[k] = max(kl_max[k], float(_pair_sum(kl_flip, d_h, signs.shape[-1]).max()))
-            eps_min[k] = min(eps_min[k], float(_pair_sum(sep_flip, d_h, signs.shape[-1]).min()))
+            kl_max[k] = max(kl_max[k], float(_pair_sum(kl_flip, d_h, d - 1).max()))
+            eps_min[k] = min(eps_min[k], float(_pair_sum(sep_flip, d_h, d - 1).min()))
         start = stop
-    return kl_max, eps_min
+    members = [f.params_of(code.codewords[0], p, sigma_x, sigma_xi) for f in families]
+    return members, K, kl_max, eps_min
 
 
 @dataclass(frozen=True)
@@ -454,11 +479,14 @@ def hard_instance_eps(
     radius at which members differing in all of block s are ((d-1)/16 - 1/M)
     apart in KL.  It is clamped to (0, 1] with a warning when small n pushes
     it above 1.  Needs M(d-1) > 16, d, M and B_s as ``PackedFamily`` checks
-    them, and M positive counts.
+    them, finite sigma_x > 0 and sigma_xi > 0, and M positive counts.
     """
     B_s = build_family(d, M, B_s, 1.0).B_s
     if M * (d - 1) <= 16:
         raise ParameterError(f"need M(d-1) > 16, got d={d}, M={M}")
+    for name, sigma in (("sigma_x", sigma_x), ("sigma_xi", sigma_xi)):
+        if not (_is_finite_real(sigma) and sigma > 0.0):
+            raise ParameterError(f"{name} must be a finite number > 0, got {sigma!r}")
     n_counts = _check_counts(n_counts, M)
     if not np.all(n_counts > 0.0):
         raise ParameterError(f"n_counts must be positive for a packing radius, got {n_counts}")
@@ -467,8 +495,8 @@ def hard_instance_eps(
         eps_sq = ((d - 1) / 16.0 - 1.0 / M) / _flip_kl(B_s, 1.0, n_counts, sigma_x, sigma_xi)
     if not np.all(np.isfinite(eps_sq) & (eps_sq > 0.0)):
         raise ParameterError(
-            "packing radius is 0 or not finite: sigma_xi = 0, or sigma_xi or sigma_x B_s n "
-            "is too large to square"
+            "packing radius is 0 or not finite: sigma_xi or sigma_x B_s n is too small "
+            "or too large to square"
         )
     eps = np.sqrt(eps_sq)
     if np.any(eps > 1.0):

@@ -17,6 +17,7 @@ from .errors import DimensionError, ParameterError
 from .model import (
     GroupAffineRegressor,
     ModelParams,
+    _check_group,
     _dot,
     _is_int,
     _ModelStack,
@@ -89,8 +90,7 @@ def conditional_law(
     """Law of f(X, S) given S = s: Gaussian with mean <w_s, mu_s> + b_s."""
     if f.d != params.d or f.M != params.M:
         raise DimensionError("regressor shape does not match the model")
-    if not 0 <= s < params.M:
-        raise DimensionError(f"group index {s} out of range [0, {params.M})")
+    s = _check_group(s, params.M)
     means, stds = _laws(f.w[None], f.b[None], _ModelStack.of([params]))
     return GaussianLaw1D(mean=float(means[0, s]), std=float(stds[0, s]))
 

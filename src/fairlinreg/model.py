@@ -536,12 +536,22 @@ class GroupAffineRegressor:
         return self.w.shape[1]
 
     def predict(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over rows of x with matching group labels."""
+        """Vectorized evaluation over rows of x with matching integer group labels in [0, M)."""
         x = np.asarray(x, dtype=float)
-        s = np.asarray(s, dtype=np.int64)
+        s = np.asarray(s)
         if x.shape[-1] != self.d:
             raise DimensionError(f"x has dimension {x.shape[-1]}, expected {self.d}")
+        if s.size and not (s.dtype.kind in "iu" and s.min() >= 0 and s.max() < self.M):
+            raise DimensionError(f"group labels must be integers in [0, {self.M})")
+        s = s.astype(np.int64, copy=False)
         return np.einsum("ij,ij->i", self.w[s], np.atleast_2d(x)) + self.b[s]
+
+
+def _check_group(s, M: int) -> int:
+    """The group index ``s``, once it is an integer in [0, M)."""
+    if not (_is_int(s) and 0 <= s < M):
+        raise DimensionError(f"group index {s!r} out of range [0, {M}) or not an integer")
+    return int(s)
 
 
 def evaluate(regressor: GroupAffineRegressor, x: Sequence[float], s: int) -> float:
@@ -549,6 +559,5 @@ def evaluate(regressor: GroupAffineRegressor, x: Sequence[float], s: int) -> flo
     x = np.asarray(x, dtype=float)
     if x.shape != (regressor.d,):
         raise DimensionError(f"x has shape {x.shape}, expected ({regressor.d},)")
-    if not 0 <= s < regressor.M:
-        raise DimensionError(f"group index {s} out of range [0, {regressor.M})")
+    s = _check_group(s, regressor.M)
     return float(regressor.w[s] @ x + regressor.b[s])

@@ -231,12 +231,12 @@ class TestRunSweep:
 
     @staticmethod
     def _record_jobs(monkeypatch) -> list:
-        """Patch ``_run_trial`` to record each job's pieces and running thread."""
+        """Patch ``_run_trial`` to record each job's cells, rows and running thread."""
         jobs, run_trial = [], experiments._run_trial
 
-        def recording(config, pieces):
-            jobs.append((pieces, threading.get_ident()))
-            return run_trial(config, pieces)
+        def recording(config, cells, rows):
+            jobs.append((cells, rows, threading.get_ident()))
+            return run_trial(config, cells, rows)
 
         monkeypatch.setattr(experiments, "_run_trial", recording)
         return jobs
@@ -256,9 +256,13 @@ class TestRunSweep:
         config = SweepConfig(**grid, trials=trials, seed=42)
         jobs = self._record_jobs(monkeypatch)
         rows = run_sweep(config).rows
-        assert [sum(len(t) for _, _, t in pieces) for pieces, _ in jobs] == sizes
-        for pieces, _ in jobs:
-            assert len({cell[1:] for _, cell, _ in pieces}) == 1
+        assert [len(job) for _, job, _ in jobs] == sizes
+        # the jobs' rows, joined, are every (cell_idx, trial) stream key in CSV order
+        cells = jobs[0][0]
+        keys = [(cell_idx, trial) for cell_idx in range(len(cells)) for trial in range(trials)]
+        assert [row for _, job, _ in jobs for row in job] == keys
+        for _, job, _ in jobs:
+            assert len({cells[cell_idx][1:] for cell_idx, _ in job}) == 1
         # the rows on each side of every cut are the single-trial chain's
         for cut in np.cumsum(sizes)[:-1].tolist():
             for i in (cut - 1, cut):
@@ -270,10 +274,10 @@ class TestRunSweep:
         config = SweepConfig(n_grid=(300, 600), d_grid=(2, 3), M_grid=(2,), trials=2, seed=7)
         jobs = self._record_jobs(monkeypatch)
         run_sweep(config, threads=1)
-        assert [ident for _, ident in jobs] == [threading.get_ident()] * 4
+        assert [ident for *_, ident in jobs] == [threading.get_ident()] * 4
         jobs.clear()
         run_sweep(config, threads=2)
-        assert len(jobs) == 4 and threading.get_ident() not in {ident for _, ident in jobs}
+        assert len(jobs) == 4 and threading.get_ident() not in {ident for *_, ident in jobs}
 
     def test_prefix_stability(self):
         # a trial's row must not depend on how many trials share its batch; at
@@ -448,6 +452,16 @@ class TestFitSlope:
         with pytest.raises(ParameterError):
             fit_slope([(1.0, 1.0), (2.0, -0.5), (3.0, 0.2)])
 
+    @pytest.mark.filterwarnings("error")  # inf raised a RuntimeWarning in polyfit
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_rejected(self, bad, column):
+        # a NaN point slipped past the positivity check and gave (nan, nan, nan)
+        pts = [[1.0, 1.0], [2.0, 0.5], [3.0, 0.2], [4.0, 0.1]]
+        pts[2][column] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            fit_slope(pts)
+
 
 class TestLowerBoundReport:
     @pytest.mark.filterwarnings("error")
@@ -557,17 +571,58 @@ class TestLowerBoundReport:
 
     @pytest.mark.parametrize(
         "change",
-        [dict(seed=-1), dict(seed=1.5), dict(trials=2.5), dict(n_grid=[2000.7])],
-        ids=["negative_seed", "float_seed", "float_trials", "float_n"],
+        [
+            dict(seed=-1), dict(seed=1.5), dict(trials=2.5), dict(n_grid=[2000.7]),
+            dict(sigma_x=-1.0), dict(sigma_x=0.0), dict(sigma_xi=-1.0), dict(sigma_xi=0.0),
+            dict(sigma_x=np.nan), dict(sigma_xi=np.inf),
+            dict(code_budget=0), dict(code_budget=1), dict(code_budget=-3),
+            dict(code_budget=50.0), dict(code_budget=None),
+        ],
+        ids=[
+            "negative_seed", "float_seed", "float_trials", "float_n",
+            "negative_sigma_x", "zero_sigma_x", "negative_sigma_xi", "zero_sigma_xi",
+            "nan_sigma_x", "inf_sigma_xi",
+            "zero_budget", "one_budget", "negative_budget", "float_budget", "no_budget",
+        ],
     )
     def test_bad_seed_trials_or_n_rejected_before_any_work(self, monkeypatch, change):
         def no_work(*args):
             raise AssertionError("gv_code ran")
 
-        monkeypatch.setattr(experiments, "gv_code", no_work)
+        monkeypatch.setattr("fairlinreg.lower_bound.gv_code", no_work)
         kwargs = dict(n_grid=[2000], B_s=1, sigma_x=1, sigma_xi=1, seed=3, trials=4, code_budget=50)
         with pytest.raises(ParameterError):
             run_lower_bound_report(9, 4, **{**kwargs, **change})
+
+    @pytest.mark.parametrize("budget", [2, 2000])
+    def test_fewer_than_two_codewords_rejected_before_any_fit(self, monkeypatch, budget):
+        # at d = 2 each block has one sign, so a 17-block code rarely holds two
+        # codewords; the Fano bound then has no value, and no fit should run
+        def no_fit(*args):
+            raise AssertionError("_fit_trials ran")
+
+        monkeypatch.setattr(experiments, "_fit_trials", no_fit)
+        with pytest.raises(ParameterError, match="K >= 2 .* gave K=1"):
+            run_lower_bound_report(
+                2, 17, [2000], 1.0, 1.0, 1.0, seed=0, trials=2, code_budget=budget
+            )
+
+    @pytest.mark.parametrize("trials, batches", [(10, [20]), (40, [64, 16])])
+    def test_one_batch_per_job(self, monkeypatch, trials, batches):
+        # the report's (n, trial) rows are cut into jobs as a sweep's are, and
+        # each job is drawn, fitted and scored as one batch
+        calls, fit_trials = [], experiments._fit_trials
+
+        def recording(models, ns, rngs):
+            calls.append(ns.tolist())
+            return fit_trials(models, ns, rngs)
+
+        monkeypatch.setattr(experiments, "_fit_trials", recording)
+        run_lower_bound_report(
+            9, 4, [2000, 4000], 1.0, 1.0, 1.0, seed=5, trials=trials, code_budget=100
+        )
+        assert [len(ns) for ns in calls] == batches
+        assert sum(calls, []) == [2000] * trials + [4000] * trials
 
     def test_single_trial_rejected(self):
         # one trial has no standard error

@@ -461,6 +461,22 @@ class TestHardInstanceEps:
         with pytest.raises(ParameterError):
             hard_instance_eps(9, 4, 1.0, 1.0, B_s, [100] * 4)
 
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, np.nan, np.inf, -np.inf, "1", True])
+    @pytest.mark.parametrize("name", ["sigma_x", "sigma_xi"])
+    def test_bad_sigma_rejected_by_name(self, name, sigma):
+        # a negative sigma was squared into a valid radius, and sigma_x = 0
+        # was reported as sigma_xi = 0
+        sigmas = {"sigma_x": 1.0, "sigma_xi": 1.0, name: sigma}
+        with pytest.raises(ParameterError, match=f"^{name} must be a finite number > 0"):
+            hard_instance_eps(9, 4, sigmas["sigma_xi"], sigmas["sigma_x"], 1.0, [10] * 4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma_x, sigma_xi", [(1e-200, 1.0), (1.0, 1e-200)])
+    def test_sigma_too_small_to_square_rejected(self, sigma_x, sigma_xi):
+        with pytest.raises(ParameterError, match="packing radius"):
+            hard_instance_eps(9, 4, sigma_xi, sigma_x, 1.0, [10] * 4)
+
     def test_hand_evaluation(self):
         eps = hard_instance_eps(9, 4, 1.0, 1.0, 1.0, [100] * 4)
         assert np.allclose(eps ** 2, 0.00125)

@@ -416,6 +416,32 @@ class TestEvaluate:
         with pytest.raises(DimensionError):
             evaluate(f, [1.0, 2.0], 5)
 
+    @pytest.mark.parametrize("s", [-1, 2, 0.5, 1.0, True], ids=["negative", "M", "half", "float", "bool"])
+    def test_group_index_not_an_integer_in_range_rejected(self, s):
+        f = GroupAffineRegressor(w=np.ones((2, 2)), b=np.zeros(2))
+        with pytest.raises(DimensionError, match="group index"):
+            evaluate(f, [1.0, 2.0], s)
+
+
+class TestPredict:
+    def test_labels_pick_their_group(self):
+        f = GroupAffineRegressor(w=[[1.0, 0.0], [0.0, 1.0]], b=[0.5, -0.5])
+        x = [[2.0, 7.0], [2.0, 7.0], [3.0, 4.0]]
+        for labels in ([0, 1, 1], np.array([0, 1, 1], dtype=np.uint8)):
+            assert f.predict(x, labels).tolist() == [2.5, 6.5, 3.5]
+        assert f.predict(np.zeros((0, 2)), []).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "s",
+        [[0, -1], [0, 2], [0, 5], [0.0, 1.0], [0.5, 1.0], [True, False]],
+        ids=["negative", "M", "above_M", "float", "half", "bool"],
+    )
+    def test_label_not_an_integer_in_range_rejected(self, s):
+        # -1 wrapped to group M - 1, and a label >= M raised a bare IndexError
+        f = GroupAffineRegressor(w=np.ones((2, 3)), b=np.zeros(2))
+        with pytest.raises(DimensionError, match=r"integers in \[0, 2\)"):
+            f.predict(np.zeros((2, 3)), s)
+
 
 class TestStreams:
     """``_streams`` against numpy's own ``SeedSequence``: the guard if numpy's hash ever changes."""
