@@ -88,23 +88,36 @@ class TailRow:
     vacuous: bool
 
 
+# Draw values per chunk of the tail check's reps: bounds its stack of reps to
+# 256 kB (or one rep, if larger) whatever reps is.
+_TAIL_VALUES = 1 << 15
+
+
 def _tail_lambda_mins(
     mu: np.ndarray, sigma_x: float, d: int, n: int, reps: int, seed: int
 ) -> np.ndarray:
     """lambda_min((1/n) X^T X) of each rep's X = mu + sigma_x Z.
 
     Rep r draws its (n, d) standard normal Z from its own stream, keyed by
-    (r,) (``_streams``), built just before it draws; the reps are stacked
-    into one array and scaled, shifted and eigensolved together.
+    (r,) (``_streams``), built just before it draws.  The reps are stacked
+    _TAIL_VALUES // (n d) at a time, and each stack is scaled, shifted and
+    eigensolved together.
     """
-    x = np.empty((reps, n, d))
-    for rep, rng in zip(x, _streams(seed, np.arange(reps)[:, None])):
-        rng.standard_normal(out=rep)
-    # an overflowed draw is rejected as non-finite by _gram_eigs
-    with np.errstate(over="ignore"):
-        x *= sigma_x
-        x += mu
-    return _gram_eigs(x)[:, 0]
+    rngs = _streams(seed, np.arange(reps)[:, None])
+    step = max(_TAIL_VALUES // (n * d), 1)
+    stack = np.empty((min(step, reps), n, d))
+    lambda_mins = np.empty(reps)
+    for start in range(0, reps, step):
+        x = stack[:min(step, reps - start)]
+        # zip stops at the stack's end before it takes another generator
+        for rep, rng in zip(x, rngs):
+            rng.standard_normal(out=rep)
+        # an overflowed draw is rejected as non-finite by _gram_eigs
+        with np.errstate(over="ignore"):
+            x *= sigma_x
+            x += mu
+        lambda_mins[start:start + len(x)] = _gram_eigs(x)[:, 0]
+    return lambda_mins
 
 
 def min_eig_tail_check(

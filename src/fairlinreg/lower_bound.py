@@ -129,6 +129,9 @@ _GV_CHUNK = 64
 # product to (blocks, _GV_SLICE, _GV_CHUNK) floats, 4 MB at 8 blocks, however
 # many codewords the search has accepted.
 _GV_SLICE = 1024
+# Candidates per draw, a multiple of _GV_CHUNK: bounds the drawn signs to
+# _GV_DRAW * blocks * block_length int64 values whatever the budget.
+_GV_DRAW = 1024
 
 
 def gv_code(
@@ -141,16 +144,16 @@ def gv_code(
     The achieved set size depends on the budget; it is reported, never
     asserted against an existential bound.
 
-    All ``budget`` candidates are drawn at once (the same draws, in the same
-    order, as one at a time) and the greedy walks them in chunks of
-    _GV_CHUNK.  Gram products against _GV_SLICE accepted codewords at a
-    time give a chunk's block distances to the codewords accepted so far,
-    and only the candidates far enough from all of them survive; one more
-    gives the distances among the survivors, and a forward scan accepts each
-    survivor still live and drops the later ones too close to it.  Codewords
-    and distance are those of the one-at-a-time greedy.  block_length and
-    blocks are integers >= 1, and min_dist an integer >= 0, where 0 rejects
-    only duplicates.
+    The candidates are drawn _GV_DRAW at a time (the same draws, in the same
+    order, as one at a time), and the greedy walks them in chunks of
+    _GV_CHUNK.  Gram products against each _GV_SLICE accepted codewords give
+    a chunk's block distances to the codewords accepted so far, and only the
+    candidates far enough from all of them survive; one more gives the
+    distances among the survivors, and a forward scan accepts each survivor
+    still live and drops the later ones too close to it.  Codewords and
+    distance are those of the one-at-a-time greedy, and only the accepted
+    codewords are kept.  block_length and blocks are integers >= 1, and
+    min_dist an integer >= 0, where 0 rejects only duplicates.
     """
     for name, value, least in (
         ("block_length", block_length, 1), ("blocks", blocks, 1),
@@ -159,18 +162,25 @@ def gv_code(
         if not _is_int(value) or value < least:
             raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = _rng(seed)
-    draws = rng.choice((-1, 1), size=(budget, blocks, block_length)).astype(np.int8)
-    codes = np.empty((blocks, budget, block_length))  # the accepted codewords' signs
-    accepted = []
+    codewords = [np.empty((0, blocks, block_length), dtype=np.int8)]
+    # the accepted codewords' signs, _GV_SLICE to an array, each sized for at
+    # most the candidates still to come; the first is made before any chunk's
+    # temporaries, so that glibc does not trim it off the heap's top and fault
+    # it in again on the next call
+    slices = [np.empty((blocks, min(_GV_SLICE, budget), block_length))]
+    n_accepted = 0
     achieved = float(block_length)  # max possible per-block distance
     for start in range(0, budget, _GV_CHUNK):
-        chunk = _block_signs(draws[start:start + _GV_CHUNK])
+        if start % _GV_DRAW == 0:
+            size = (min(_GV_DRAW, budget - start), blocks, block_length)
+            draws = rng.choice((-1, 1), size=size).astype(np.int8)
+        drawn = draws[start % _GV_DRAW:start % _GV_DRAW + _GV_CHUNK]
+        chunk = _block_signs(drawn)
         far = np.ones(chunk.shape[1], dtype=bool)
         closest = np.full(chunk.shape[1], float(block_length))
-        for at in range(0, len(accepted), _GV_SLICE):
-            dists = _block_hamming_from_signs(
-                codes[:, at:min(at + _GV_SLICE, len(accepted))], chunk
-            )
+        # the slices that hold codewords: none before the first is accepted
+        for k, codes in enumerate(slices[:-(-n_accepted // _GV_SLICE)]):
+            dists = _block_hamming_from_signs(codes[:, :n_accepted - k * _GV_SLICE], chunk)
             far &= _compatible(dists, min_dist).all(axis=0)
             np.minimum(closest, dists.min(axis=(0, 1)), out=closest)
         survivors = np.flatnonzero(far)
@@ -187,9 +197,17 @@ def gv_code(
         near = inner.min(axis=0, initial=block_length)[np.ix_(taken, taken)]
         np.fill_diagonal(near, block_length)
         achieved = min(achieved, closest[taken].min(initial=achieved), near.min(initial=achieved))
-        codes[:, len(accepted):len(accepted) + len(taken)] = signs[:, taken]
-        accepted.extend(start + survivors[taken])
-    return CodeSet(codewords=draws[accepted], min_block_distance=int(achieved))
+        codewords.append(drawn[survivors[taken]])
+        new = signs[:, taken]
+        while new.shape[1]:
+            at = n_accepted % _GV_SLICE
+            if at == 0 and n_accepted:
+                slices.append(np.empty((blocks, min(_GV_SLICE, budget - start), block_length)))
+            room = new[:, :_GV_SLICE - at]
+            slices[-1][:, at:at + room.shape[1]] = room
+            new = new[:, room.shape[1]:]
+            n_accepted += room.shape[1]
+    return CodeSet(codewords=np.concatenate(codewords), min_block_distance=int(achieved))
 
 
 def _compatible(dists: np.ndarray, min_dist: int) -> np.ndarray:
@@ -263,6 +281,11 @@ def kl_conditional(theta: ModelParams, theta_prime: ModelParams, n_counts) -> fl
     return float(n_counts @ per)
 
 
+# Feature values per chunk of ``kl_conditional_sample``'s draws: bounds its
+# working memory to a few n_mc vectors plus one chunk, 256 kB, whatever d.
+_MC_VALUES = 1 << 15
+
+
 def kl_conditional_sample(
     theta: ModelParams,
     theta_prime: ModelParams,
@@ -274,6 +297,10 @@ def kl_conditional_sample(
 
     Each rep draws one observation per group from theta and weighs its
     log-likelihood ratio by n_s; returns (mean, standard error) over reps.
+    Each group draws its (n_mc, d) features, then its n_mc noise terms, in
+    chunks of _MC_VALUES // d rows: a generator's draws do not depend on how
+    they are split across calls, and each row's arithmetic is the same, so
+    the result is that of one whole-array draw.
     """
     n_counts = _check_shared(theta, theta_prime, n_counts)
     if not _is_int(n_mc) or n_mc < 2:
@@ -283,14 +310,26 @@ def kl_conditional_sample(
     # log N(x; mu, sx^2 I) - log N(x; mu', sx^2 I) is affine in x
     x_slope = 2.0 * (theta.mu - theta_prime.mu)
     x_shift = _rowdot(theta_prime.mu, theta_prime.mu) - _rowdot(theta.mu, theta.mu)
+    step = max(_MC_VALUES // theta.d, 1)
+    chunks = [slice(start, min(start + step, n_mc)) for start in range(0, n_mc, step)]
     total = np.zeros(n_mc)
+    # x @ beta_s, x @ beta'_s and x @ x_slope_s of every row: a group's noise
+    # is drawn after all of its features
+    x_beta, x_beta_prime, x_dmu = np.empty((3, n_mc))
     for s in range(theta.M):
-        x = theta.mu[s] + theta.sigma_x * rng.standard_normal((n_mc, theta.d))
-        x_beta = x @ theta.beta[s]
-        y = x_beta + theta.sigma_xi * rng.standard_normal(n_mc)
-        llr_x = (x @ x_slope[s] + x_shift[s]) / (2.0 * sx2)
-        llr_y = ((y - x @ theta_prime.beta[s]) ** 2 - (y - x_beta) ** 2) / (2.0 * sxi2)
-        total += n_counts[s] * (llr_x + llr_y)
+        for rows in chunks:
+            x = rng.standard_normal((rows.stop - rows.start, theta.d))
+            x *= theta.sigma_x
+            x += theta.mu[s]
+            x_beta[rows] = x @ theta.beta[s]
+            x_beta_prime[rows] = x @ theta_prime.beta[s]
+            x_dmu[rows] = x @ x_slope[s]
+        for rows in chunks:
+            y = x_beta[rows] + theta.sigma_xi * rng.standard_normal(rows.stop - rows.start)
+            llr_x = (x_dmu[rows] + x_shift[s]) / (2.0 * sx2)
+            llr_y = ((y - x_beta_prime[rows]) ** 2 - (y - x_beta[rows]) ** 2) / (2.0 * sxi2)
+            total[rows] += n_counts[s] * (llr_x + llr_y)
+    del x_beta, x_beta_prime, x_dmu  # std's deviation array takes their place
     est = float(total.mean())
     se = float(total.std(ddof=1) / math.sqrt(n_mc))
     return est, se

@@ -68,7 +68,8 @@ def w2_empirical(xs, ys) -> float:
     if xs.size == 0 or ys.size == 0:
         raise ParameterError("w2_empirical needs nonempty samples")
     if xs.size == ys.size:
-        return float(np.sqrt(np.mean((xs - ys) ** 2)))
+        # in place on the sorted copies: no third sample-sized array
+        return float(np.sqrt(np.mean(np.square(np.subtract(xs, ys, out=xs), out=xs))))
     # Merged breakpoints of the two step quantile functions.
     grid = np.union1d(np.arange(1, xs.size) / xs.size, np.arange(1, ys.size) / ys.size)
     edges = np.concatenate(([0.0], grid, [1.0]))

@@ -418,14 +418,16 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "x", _frozen_array(self.x, "x"))
-        object.__setattr__(self, "s", _frozen_array(self.s, "s", dtype=np.int64))
+        s = _frozen_array(self.s, "s", dtype=None)
         object.__setattr__(self, "y", _frozen_array(self.y, "y"))
-        if self.x.ndim != 2 or self.s.shape != (self.x.shape[0],) or self.y.shape != (
+        if self.x.ndim != 2 or s.shape != (self.x.shape[0],) or self.y.shape != (
             self.x.shape[0],
         ):
             raise DimensionError("inconsistent dataset array shapes")
-        if self.n and (self.s.min() < 0 or self.s.max() >= self.M):
-            raise DimensionError("group labels out of range")
+        _check_labels(s, self.M)
+        s = s.astype(np.int64, copy=False)  # a new array only if s is not int64 already
+        s.setflags(write=False)
+        object.__setattr__(self, "s", s)
 
     @property
     def n(self) -> int:
@@ -536,15 +538,24 @@ class GroupAffineRegressor:
         return self.w.shape[1]
 
     def predict(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over rows of x with matching integer group labels in [0, M)."""
+        """Vectorized evaluation over the rows of a 2-d x, each with an integer label in [0, M)."""
         x = np.asarray(x, dtype=float)
         s = np.asarray(s)
-        if x.shape[-1] != self.d:
-            raise DimensionError(f"x has dimension {x.shape[-1]}, expected {self.d}")
-        if s.size and not (s.dtype.kind in "iu" and s.min() >= 0 and s.max() < self.M):
-            raise DimensionError(f"group labels must be integers in [0, {self.M})")
+        if x.ndim != 2:
+            raise DimensionError(f"x must be 2-d, one row per label, got shape {x.shape}")
+        if x.shape[1] != self.d:
+            raise DimensionError(f"x has dimension {x.shape[1]}, expected {self.d}")
+        if s.shape != (x.shape[0],):
+            raise DimensionError(f"need one group label per row of x: {s.shape} for {len(x)} rows")
+        _check_labels(s, self.M)
         s = s.astype(np.int64, copy=False)
-        return np.einsum("ij,ij->i", self.w[s], np.atleast_2d(x)) + self.b[s]
+        return np.einsum("ij,ij->i", self.w[s], x) + self.b[s]
+
+
+def _check_labels(s: np.ndarray, M: int) -> None:
+    """Raise DimensionError unless every label in ``s`` is an integer in [0, M)."""
+    if s.size and not (s.dtype.kind in "iu" and s.min() >= 0 and s.max() < M):
+        raise DimensionError(f"group labels out of range: need integers in [0, {M})")
 
 
 def _check_group(s, M: int) -> int:

@@ -1,5 +1,7 @@
 """Tests for the empirical second-moment eigenvalue diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,12 +96,22 @@ class TestTailCheck:
         assert 0.0 <= row.empirical_tail <= 0.2
 
     @pytest.mark.parametrize(
-        "mu, sigma_x, d, n", [(np.zeros(2), 1.0, 2, 60), ([0.5, -1.0, 2.0], 2.5, 3, 40)]
+        "mu, sigma_x, d, n, reps",
+        [
+            pytest.param(np.zeros(2), 1.0, 2, 60, 300, id="mu0-1.0-2-60"),
+            pytest.param([0.5, -1.0, 2.0], 2.5, 3, 40, 300, id="mu1-2.5-3-40"),
+            # 20 reps to a chunk of the stack: 15 chunks
+            pytest.param([0.5, -1.0, 2.0, 0.0], 0.7, 4, 400, 300, id="several_chunks"),
+            # one rep larger than a chunk: a chunk per rep
+            pytest.param(
+                np.zeros(4), 1.0, 4, eigdiag._TAIL_VALUES // 4 + 1, 3, id="rep_above_chunk"
+            ),
+        ],
     )
-    def test_lambda_mins_equal_a_per_rep_loop(self, mu, sigma_x, d, n):
+    def test_lambda_mins_equal_a_per_rep_loop(self, mu, sigma_x, d, n, reps):
         # reference: the per-rep loop the stacked draw replaced, one gram_eigs
         # per rep, and the 2-d Gram eigensolve gram_eigs made before it
-        reps, seed = 300, 3
+        seed = 3
         mu = np.broadcast_to(np.asarray(mu, dtype=float), (d,))
         expect = np.empty(reps)
         for r in range(reps):
@@ -111,6 +123,17 @@ class TestTailCheck:
         t_grid = np.quantile(expect, [0.1, 0.5, 0.9])
         rows = min_eig_tail_check(mu, sigma_x, d, n, t_grid, reps, seed)
         assert [row.empirical_tail for row in rows] == [float(np.mean(expect < t)) for t in t_grid]
+
+    def test_holds_a_chunk_of_reps_not_the_stack(self):
+        # the whole (reps, n, d) stack peaked at about 1.2 times its own size
+        reps, n, d = 4000, 200, 3
+        tracemalloc.start()
+        try:
+            _tail_lambda_mins(np.zeros(d), 1.0, d, n, reps, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < reps * n * d * 8 / 4
 
     @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
     @pytest.mark.parametrize("sigma_x", [1e200, 1e308])

@@ -1,6 +1,7 @@
 """Tests for the packing family, code search, KL formulas, and Fano assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from fairlinreg import (
     two_point_bound,
     validate_params,
 )
-from fairlinreg.lower_bound import _GV_CHUNK, _GV_SLICE, block_hamming
+from fairlinreg import lower_bound
+from fairlinreg.lower_bound import _GV_CHUNK, _GV_SLICE, _MC_VALUES, block_hamming
 
 
 def random_sign_matrix(rng, M, width):
@@ -313,9 +315,21 @@ def _two_einsum_kl_sample(theta, theta_prime, n_counts, n_mc, seed):
     return float(total.mean()), float(total.std(ddof=1) / math.sqrt(n_mc))
 
 
+# the rows of one chunk of kl_conditional_sample's draws at d = 5
+_ROWS_D5 = _MC_VALUES // 5
+_CHUNK_EDGES_D5 = [_ROWS_D5 - 1, _ROWS_D5, _ROWS_D5 + 1, 2 * _ROWS_D5 + 3]
+
+
 class TestKlSampleReference:
-    @pytest.mark.parametrize("d, M, seed", [(5, 2, 0), (5, 2, 123), (7, 3, 9)])
-    def test_packed_pairs_exactly(self, d, M, seed):
+    @pytest.mark.parametrize(
+        "d, M, seed, n_mc",
+        [
+            pytest.param(d, M, seed, 20_000, id=f"{d}-{M}-{seed}")
+            for d, M, seed in [(5, 2, 0), (5, 2, 123), (7, 3, 9)]
+        ]
+        + [pytest.param(5, 2, 4, n_mc, id=f"chunk_edge_{n_mc}") for n_mc in _CHUNK_EDGES_D5],
+    )
+    def test_packed_pairs_exactly(self, d, M, seed, n_mc):
         # mu = 0: the x log-ratio is exactly 0 in both forms
         rng = np.random.default_rng(seed)
         family = build_family(d, M, rng.uniform(0.5, 2.0, M), rng.uniform(0.1, 0.9, M))
@@ -323,8 +337,36 @@ class TestKlSampleReference:
         theta = family.params_of(random_sign_matrix(rng, M, d - 1), p, 1.3, 0.7)
         theta_prime = family.params_of(random_sign_matrix(rng, M, d - 1), p, 1.3, 0.7)
         n_counts = rng.integers(1, 100, size=M)
-        args = (theta, theta_prime, n_counts, 20_000, seed)
+        args = (theta, theta_prime, n_counts, n_mc, seed)
         assert kl_conditional_sample(*args) == _two_einsum_kl_sample(*args)
+
+    @pytest.mark.parametrize("n_mc", _CHUNK_EDGES_D5)
+    def test_chunked_draws_equal_one_whole_draw(self, monkeypatch, n_mc):
+        # nonzero means, so the x log-ratio is drawn and summed in chunks too
+        rng = np.random.default_rng(n_mc)
+        theta, theta_prime = (
+            make_params(rng.uniform(-0.4, 0.4, (3, 5)), mu=rng.uniform(-0.4, 0.4, (3, 5)), B=2.0)
+            for _ in range(2)
+        )
+        args = (theta, theta_prime, [30, 70, 5], n_mc, 11)
+        chunked = kl_conditional_sample(*args)
+        monkeypatch.setattr(lower_bound, "_MC_VALUES", 5 * n_mc)
+        assert chunked == kl_conditional_sample(*args)
+
+    def test_holds_a_few_draw_vectors_not_the_draw_matrix(self):
+        # a whole (n_mc, d) feature draw and its temporaries peaked at about 20 n_mc floats
+        family = build_family(5, 2, [1.0, 1.0], [0.3, 0.3])
+        v = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])
+        p = np.full(2, 0.5)
+        theta, theta_prime = (family.params_of(w, p, 1.0, 1.0) for w in (v, -v))
+        n_mc = 400_000
+        tracemalloc.start()
+        try:
+            kl_conditional_sample(theta, theta_prime, [50, 50], n_mc, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n_mc * 8
 
     def test_nonzero_means_to_rounding(self):
         # the pair of test_sample_kl_with_nonzero_means

@@ -238,6 +238,9 @@ class TestConstructorChecks:
             ([[1.0], [2.0]], [0, 0], [0.0], "shapes"),
             ([[1.0], [2.0]], [0, 2], [0.0, 0.0], "out of range"),
             ([[1.0], [2.0]], [-1, 0], [0.0, 0.0], "out of range"),
+            # float labels were cast to int64: 0.5 and 1.7 read as 0 and 1
+            ([[1.0], [2.0]], [0.5, 1.7], [0.0, 0.0], "need integers"),
+            ([[1.0], [2.0]], [0.0, 1.0], [0.0, 0.0], "need integers"),
         ],
     )
     def test_dataset_bad_shapes_or_labels_rejected(self, x, s, y, match):
@@ -441,6 +444,23 @@ class TestPredict:
         f = GroupAffineRegressor(w=np.ones((2, 3)), b=np.zeros(2))
         with pytest.raises(DimensionError, match=r"integers in \[0, 2\)"):
             f.predict(np.zeros((2, 3)), s)
+
+    @pytest.mark.parametrize(
+        "x, s, match",
+        [
+            ([1.0, 2.0], 0, "2-d"),
+            (np.zeros((1, 1, 2)), [0], "2-d"),
+            (np.zeros((3, 2)), [0, 1], "one group label per row"),
+            (np.zeros((3, 2)), np.zeros((3, 2), dtype=int), "one group label per row"),
+            (np.zeros((3, 2)), 1, "one group label per row"),
+        ],
+        ids=["one_point", "3d", "short_labels", "2d_labels", "scalar_label"],
+    )
+    def test_x_not_2d_or_labels_not_one_per_row_rejected(self, x, s, match):
+        # these raised numpy's bare ValueError from einsum, or broadcast a label
+        f = GroupAffineRegressor(w=np.ones((2, 2)), b=np.zeros(2))
+        with pytest.raises(DimensionError, match=match):
+            f.predict(x, s)
 
 
 class TestStreams:
