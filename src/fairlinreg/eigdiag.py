@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 from .model import _check_seed, _is_finite_real, _is_int, _streams
 
 # Constant in the minimum-eigenvalue tail bound (21 e^10 t / sigma_x^2)^(n/6).
@@ -89,7 +89,8 @@ class TailRow:
 
 
 # Draw values per chunk of the tail check's reps: bounds its stack of reps to
-# 256 kB (or one rep, if larger) whatever reps is.
+# 256 kB (or one rep, if larger), and the stream keys it hashes at once to one
+# stack's, whatever reps is.
 _TAIL_VALUES = 1 << 15
 
 
@@ -99,18 +100,16 @@ def _tail_lambda_mins(
     """lambda_min((1/n) X^T X) of each rep's X = mu + sigma_x Z.
 
     Rep r draws its (n, d) standard normal Z from its own stream, keyed by
-    (r,) (``_streams``), built just before it draws.  The reps are stacked
-    _TAIL_VALUES // (n d) at a time, and each stack is scaled, shifted and
-    eigensolved together.
+    (r,).  The reps are stacked _TAIL_VALUES // (n d) at a time; each stack
+    builds its reps' generators in one ``_streams`` call on their keys, and
+    is scaled, shifted and eigensolved together.
     """
-    rngs = _streams(seed, np.arange(reps)[:, None])
     step = max(_TAIL_VALUES // (n * d), 1)
     stack = np.empty((min(step, reps), n, d))
     lambda_mins = np.empty(reps)
     for start in range(0, reps, step):
         x = stack[:min(step, reps - start)]
-        # zip stops at the stack's end before it takes another generator
-        for rep, rng in zip(x, rngs):
+        for rep, rng in zip(x, _streams(seed, np.arange(start, start + len(x))[:, None])):
             rng.standard_normal(out=rep)
         # an overflowed draw is rejected as non-finite by _gram_eigs
         with np.errstate(over="ignore"):
@@ -133,7 +132,7 @@ def min_eig_tail_check(
 
     Rows where the bound is >= 1 are flagged vacuous; elsewhere the caller may
     assert empirical <= bound.  Every argument is checked before any draw
-    (ParameterError).
+    (ParameterError, or DimensionError for a mu of neither one nor d values).
     """
     if not _is_int(reps) or reps < 1:
         raise ParameterError(f"reps must be an integer >= 1, got {reps!r}")
@@ -146,7 +145,10 @@ def min_eig_tail_check(
         raise ParameterError(f"t_grid must hold finite numbers, got {t_grid}")
     if n <= 6 * d:
         raise ParameterError(f"need n > 6d, got n={n}, d={d}")
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (d,))
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape not in ((), (d,)):
+        raise DimensionError(f"mu must be a scalar or of length d={d}, got shape {mu.shape}")
+    mu = np.broadcast_to(mu, (d,))
     lambda_mins = _tail_lambda_mins(mu, sigma_x, d, n, reps, seed)
     rows = []
     for t in t_grid:

@@ -248,39 +248,42 @@ def _jobs(cells: list[tuple], trials: int) -> list[list[tuple]]:
     return jobs
 
 
-def _fit_trials(models: _ModelStack, ns: np.ndarray, rngs: list) -> tuple:
-    """Monte Carlo trials as one batch: draw cell statistics, fit them, score the fits.
+def _fit_job(seed: int, cells: list[tuple], rows: list[tuple], models_of) -> tuple:
+    """One job's trials as one batch: draw cell statistics, fit them, score the fits.
 
-    Trial i draws its ``ns[i]`` observations' statistics, as
-    ``sample_cell_stats`` does, from ``rngs[i]``; its model is not checked
-    again.  Returns the analytic excess risks, the fitted w and b, and the
-    estimates, each with a leading trial axis.
+    Row (cell_idx, trial) of ``rows`` (their ``cells`` share (d, M)) draws its
+    n's cell statistics, as ``sample_cell_stats`` does, from stream (cell_idx,
+    trial, 1).  ``models_of`` maps an iterator of the rows' stream-(cell_idx,
+    trial, 0) generators, each built as it is taken, to the job's ``_ModelStack``.
+    Returns each row's n, the models, excess risks, w, b and estimates.
     """
-    w, b, estimates = _fit_cells(*_sample_cells(models, ns, rngs))
+    ns = np.array([cells[cell_idx][0] for cell_idx, _ in rows])
+    rngs = _streams(seed, [(*row, half) for half in (1, 0) for row in rows])
+    cell_rngs = list(itertools.islice(rngs, len(rows)))
+    models = models_of(rngs)
+    w, b, estimates = _fit_cells(*_sample_cells(models, ns, cell_rngs))
     _, _, oracle_w, oracle_b = _fair(models)
-    return _l2_distance(w - oracle_w, b - oracle_b, models), w, b, estimates
+    return ns, models, _l2_distance(w - oracle_w, b - oracle_b, models), w, b, estimates
 
 
 def _run_trial(config: SweepConfig, cells: list[tuple], rows: list[tuple]) -> dict:
     """One sweep job: its rows, as columns in CSV order.
 
-    ``rows`` lists the job's (cell_idx, trial) rows, whose ``cells`` share
-    (d, M).  A trial draws its model from stream (cell_idx, trial, 0) and its
-    cell statistics from stream (cell_idx, trial, 1).
+    ``_fit_job`` with ``_draw_models`` as the model source, then scored.
     """
     _, d, M = cells[rows[0][0]]
-    ns = np.array([cells[cell_idx][0] for cell_idx, _ in rows])
     T = len(rows)
-    rngs = list(_streams(config.seed, [(*row, half) for half in (0, 1) for row in rows]))
-    stack = _draw_models(d, M, config.B, config.U, config.sigma_x, config.sigma_xi, rngs[:T])
-    flags = [
-        undersampled(n, d, M, p_min, config.delta)
-        for n, p_min in zip(ns.tolist(), stack.p.min(axis=1).tolist())
-    ]
+    params = (d, M, config.B, config.U, config.sigma_x, config.sigma_xi)
     # Squared errors of coefficients above ~1e154 exceed the float range and read inf.
     with np.errstate(over="ignore"):
-        risk, w, b, estimates = _fit_trials(stack, ns, rngs[T:])
+        ns, stack, risk, w, b, estimates = _fit_job(
+            config.seed, cells, rows, lambda rngs: _draw_models(*params, list(rngs))
+        )
         report = _unfairness(w, b, stack)
+        flags = [
+            undersampled(n, d, M, p_min, config.delta)
+            for n, p_min in zip(ns.tolist(), stack.p.min(axis=1).tolist())
+        ]
         return {
             "n": ns, "d": np.full(T, d), "M": np.full(T, M),
             "B": np.full(T, config.B), "trial": np.array([trial for _, trial in rows]),
@@ -423,13 +426,10 @@ def run_lower_bound_report(
     n_grid = [int(n) for n in n_grid]
     for params, n in zip(members, n_grid):
         _check_model(params, n)
+    cells = [(n, d, M) for n in n_grid]
     risks = np.concatenate([
-        _fit_trials(
-            _ModelStack.of([members[n_idx] for n_idx, _ in job]),
-            np.array([n_grid[n_idx] for n_idx, _ in job]),
-            list(_streams(seed, [(*row, 1) for row in job])),
-        )[0]
-        for job in _jobs([(n, d, M) for n in n_grid], trials)
+        _fit_job(seed, cells, job, lambda rngs: _ModelStack.of([members[i] for i, _ in job]))[2]
+        for job in _jobs(cells, trials)
     ]).reshape(len(n_grid), trials)
     # each n's risks scaled by a power of two, as ``_norm`` scales: exact, and a
     # risk above ~1e154 does not overflow when its deviation is squared

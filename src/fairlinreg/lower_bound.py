@@ -502,10 +502,14 @@ def fano_value(epsilon: float, K: int, avg_kl: float) -> float:
     """Fano lower bound epsilon * (1 - (avg_kl + ln 2)/ln K), clipped at 0.
 
     avg_kl should upper-bound the mixture-averaged KL; the max pairwise KL
-    over the code is a valid choice.
+    over the code is a valid choice.  K must be an integer >= 2, and epsilon
+    and avg_kl finite and >= 0 (ParameterError).
     """
-    if K < 2:
-        raise ParameterError(f"Fano bound needs K >= 2 hypotheses, got {K}")
+    if not (_is_int(K) and K >= 2):
+        raise ParameterError(f"Fano bound needs an integer K >= 2 hypotheses, got {K!r}")
+    for name, value in (("epsilon", epsilon), ("avg_kl", avg_kl)):
+        if not (_is_finite_real(value) and value >= 0.0):
+            raise ParameterError(f"{name} must be a finite number >= 0, got {value!r}")
     return max(epsilon * (1.0 - (avg_kl + math.log(2.0)) / math.log(K)), 0.0)
 
 

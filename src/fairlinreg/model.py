@@ -417,6 +417,7 @@ class Dataset:
     M: int
 
     def __post_init__(self):
+        _check_group_count(self.M)
         object.__setattr__(self, "x", _frozen_array(self.x, "x"))
         s = _frozen_array(self.s, "s", dtype=None)
         object.__setattr__(self, "y", _frozen_array(self.y, "y"))
@@ -462,7 +463,11 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path: str | Path, M: int) -> "Dataset":
-        """Read a ``to_csv`` file; any malformed content raises ``ConfigError``."""
+        """Read a ``to_csv`` file; any malformed content raises ``ConfigError``.
+
+        An M that is not an integer >= 1 is a DimensionError before the file is read.
+        """
+        _check_group_count(M)
         with open(path) as fh:
             d = len(fh.readline().split(",")) - 2
             if d < 1:
@@ -550,6 +555,11 @@ class GroupAffineRegressor:
         _check_labels(s, self.M)
         s = s.astype(np.int64, copy=False)
         return np.einsum("ij,ij->i", self.w[s], x) + self.b[s]
+
+
+def _check_group_count(M) -> None:
+    if not (_is_int(M) and M >= 1):
+        raise DimensionError(f"need an integer group count M >= 1, got M={M!r}")
 
 
 def _check_labels(s: np.ndarray, M: int) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fairlinreg import (
+    DimensionError,
     ParameterError,
     gram_eigs,
     max_inv_eig_expectation_bound,
@@ -102,6 +103,8 @@ class TestTailCheck:
             pytest.param([0.5, -1.0, 2.0], 2.5, 3, 40, 300, id="mu1-2.5-3-40"),
             # 20 reps to a chunk of the stack: 15 chunks
             pytest.param([0.5, -1.0, 2.0, 0.0], 0.7, 4, 400, 300, id="several_chunks"),
+            # stacks of 273, 273 and 54 reps, each with its own streams
+            pytest.param(np.zeros(2), 1.0, 2, 60, 600, id="partial_last_chunk"),
             # one rep larger than a chunk: a chunk per rep
             pytest.param(
                 np.zeros(4), 1.0, 4, eigdiag._TAIL_VALUES // 4 + 1, 3, id="rep_above_chunk"
@@ -134,6 +137,27 @@ class TestTailCheck:
         finally:
             tracemalloc.stop()
         assert peak < reps * n * d * 8 / 4
+
+    def test_hashes_one_stack_of_stream_keys_at_a_time(self):
+        # every rep's key hashed up front held about 11 MB here
+        _tail_lambda_mins(np.zeros(2), 1.0, 2, 60, 1, 0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            _tail_lambda_mins(np.zeros(2), 1.0, 2, 60, 40_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("mu", [np.zeros(3), np.zeros(1), np.zeros((2, 2)), [[0.0]]])
+    def test_mu_of_wrong_length_rejected_before_any_draw(self, monkeypatch, mu):
+        # np.zeros(3) at d = 2 raised numpy's bare broadcast ValueError
+        def no_draw(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(eigdiag, "_tail_lambda_mins", no_draw)
+        with pytest.raises(DimensionError, match="mu"):
+            min_eig_tail_check(mu, 1.0, 2, 60, [0.5], 10, 0)
 
     @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
     @pytest.mark.parametrize("sigma_x", [1e200, 1e308])

@@ -49,7 +49,7 @@ from fairlinreg import (
 )
 from fairlinreg import cli, experiments
 from fairlinreg.cli import main
-from fairlinreg.lower_bound import _PAIR_CHUNK
+from fairlinreg.lower_bound import _PAIR_CHUNK, _fano_ladder
 from fairlinreg.model import GroupAffineRegressor, norm_diversity_factor
 
 
@@ -599,9 +599,9 @@ class TestLowerBoundReport:
         # at d = 2 each block has one sign, so a 17-block code rarely holds two
         # codewords; the Fano bound then has no value, and no fit should run
         def no_fit(*args):
-            raise AssertionError("_fit_trials ran")
+            raise AssertionError("_fit_job ran")
 
-        monkeypatch.setattr(experiments, "_fit_trials", no_fit)
+        monkeypatch.setattr(experiments, "_fit_job", no_fit)
         with pytest.raises(ParameterError, match="K >= 2 .* gave K=1"):
             run_lower_bound_report(
                 2, 17, [2000], 1.0, 1.0, 1.0, seed=0, trials=2, code_budget=budget
@@ -611,18 +611,40 @@ class TestLowerBoundReport:
     def test_one_batch_per_job(self, monkeypatch, trials, batches):
         # the report's (n, trial) rows are cut into jobs as a sweep's are, and
         # each job is drawn, fitted and scored as one batch
-        calls, fit_trials = [], experiments._fit_trials
+        calls, fit_job = [], experiments._fit_job
 
-        def recording(models, ns, rngs):
-            calls.append(ns.tolist())
-            return fit_trials(models, ns, rngs)
+        def recording(*args):
+            fitted = fit_job(*args)
+            calls.append(fitted[0].tolist())
+            return fitted
 
-        monkeypatch.setattr(experiments, "_fit_trials", recording)
+        monkeypatch.setattr(experiments, "_fit_job", recording)
         run_lower_bound_report(
             9, 4, [2000, 4000], 1.0, 1.0, 1.0, seed=5, trials=trials, code_budget=100
         )
         assert [len(ns) for ns in calls] == batches
         assert sum(calls, []) == [2000] * trials + [4000] * trials
+
+    @pytest.mark.parametrize(
+        "args, seed, trials, budget",
+        [((9, 4, [2000, 32000], 1.0, 1.0, 1.0), 7, 10, 300),
+         ((9, 4, [1000, 2000, 4000], [1, 2, 1, 2], 1.2, 0.8), 3, 70, 200)],
+    )
+    def test_each_trial_draws_from_its_stream(self, args, seed, trials, budget):
+        # reference: n's trial t fitted alone on cell statistics drawn from
+        # stream (n's index, t, 1), on the member the Fano side packs for n
+        result = run_lower_bound_report(*args, seed=seed, trials=trials, code_budget=budget)
+        d, M, n_grid = args[:3]
+        members = _fano_ladder(*args, budget, seed)[0]
+        for n_idx, (n, member) in enumerate(zip(n_grid, members)):
+            oracle = build_fdp(member)
+            risks = [
+                analytic_excess_risk(fit(sample_cell_stats(
+                    member, n, np.random.SeedSequence(seed, spawn_key=(n_idx, t, 1))
+                ), d, M, None)[0], oracle)
+                for t in range(trials)
+            ]
+            assert result.column("est_risk_mean")[n_idx] == np.mean(risks)
 
     def test_single_trial_rejected(self):
         # one trial has no standard error
@@ -745,6 +767,14 @@ class TestCli:
             ["fit", "--data", str(latin1), "--d", "1", "--M", "1"],
         ):
             assert main(argv + ["--out", str(tmp_path / "z")]) == 2
+
+    def test_fit_zero_groups_exit_code(self, tmp_path, capsys):
+        # rejected for its M, not for the labels of the file it then read
+        data = tmp_path / "data.csv"
+        data.write_text("x_1,s,y\n1,1,3\n")
+        argv = ["fit", "--data", str(data), "--d", "1", "--M", "0"]
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+        assert "group count M >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rows",

@@ -482,6 +482,20 @@ class TestFanoValue:
         with pytest.raises(ParameterError):
             fano_value(1.0, 1, 0.0)
 
+    @pytest.mark.parametrize(
+        "epsilon, K, avg_kl",
+        [(1.0, 4.5, 0.0), (1.0, 4.0, 0.0), (1.0, True, 0.0), (np.nan, 4, 0.0),
+         (np.inf, 4, 0.0), (-0.1, 4, 0.0), (0.1, 4, -5.0), (0.1, 4, np.nan),
+         (0.1, 4, np.inf)],
+        ids=["float_K", "integral_float_K", "bool_K", "nan_epsilon", "inf_epsilon",
+             "negative_epsilon", "negative_kl", "nan_kl", "inf_kl"],
+    )
+    def test_bad_arguments_rejected(self, epsilon, K, avg_kl):
+        # K = 4.5 passed, a NaN epsilon returned NaN, and a negative KL
+        # returned more than epsilon
+        with pytest.raises(ParameterError):
+            fano_value(epsilon, K, avg_kl)
+
 
 class TestHardInstanceEps:
     def test_formula_homogeneity(self):

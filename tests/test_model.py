@@ -247,6 +247,14 @@ class TestConstructorChecks:
         with pytest.raises(DimensionError, match=match):
             Dataset(x=x, s=s, y=y, M=2)
 
+    @pytest.mark.parametrize("M", [0, -1, 2.5, 2.0, "2", True, None])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_dataset_bad_group_count_rejected(self, n, M):
+        # M = 2.5 constructed, M = 0 constructed on an empty dataset, and
+        # M = '2' raised numpy's bare UFuncTypeError
+        with pytest.raises(DimensionError, match="group count M >= 1"):
+            Dataset(x=np.zeros((n, 2)), s=np.zeros(n, dtype=np.int64), y=np.zeros(n), M=M)
+
     def test_regressor_shape_and_predict_width_rejected(self):
         with pytest.raises(DimensionError, match="b must be"):
             GroupAffineRegressor(w=np.zeros((2, 3)), b=np.zeros(3))
@@ -322,6 +330,12 @@ class TestSerialization:
         path.write_bytes(text.encode())
         with pytest.raises(ConfigError, match=match):
             Dataset.from_csv(path, M=2)
+
+    @pytest.mark.parametrize("M", [0, 2.5, "2"])
+    def test_dataset_csv_bad_group_count_rejected_before_reading(self, tmp_path, M):
+        # the file does not exist: M is checked before it is opened
+        with pytest.raises(DimensionError, match="group count M >= 1"):
+            Dataset.from_csv(tmp_path / "missing.csv", M=M)
 
     def test_dataset_csv_bytes(self, tmp_path):
         # reference: the csv module's default dialect, 17 significant digits
