@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .model import _check_seed, _is_finite_real, _is_int, _streams
+from .model import _check_int, _check_real, _check_seed, _streams
 
 # Constant in the minimum-eigenvalue tail bound (21 e^10 t / sigma_x^2)^(n/6).
 TAIL_CONSTANT = 21.0 * math.exp(10.0)
@@ -45,6 +45,8 @@ def _gram_eigs(x: np.ndarray) -> np.ndarray:
 def gram_eigs(x_rows: np.ndarray) -> EigDiag:
     """Extreme eigenvalues of (1/m) X^T X, from one symmetric eigensolve."""
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    if x_rows.ndim != 2:
+        raise DimensionError(f"gram_eigs needs one row or a 2-d array of rows, got {x_rows.ndim}-d")
     m, d = x_rows.shape
     if m < 1:
         raise ParameterError("gram_eigs requires at least one row")
@@ -52,14 +54,11 @@ def gram_eigs(x_rows: np.ndarray) -> EigDiag:
     return EigDiag(lambda_min=float(eigs[0]), lambda_max=float(eigs[-1]), n=m, d=d)
 
 
-def _check_sigma_x(sigma_x) -> None:
-    if not (_is_finite_real(sigma_x) and sigma_x > 0.0):
-        raise ParameterError(f"sigma_x must be positive and finite, got {sigma_x!r}")
-
-
 def min_eig_tail_bound(t: float, sigma_x: float, n: int) -> float:
     """The concentration bound (21 e^10 t / sigma_x^2)^(n/6) on P{lambda_min < t}."""
-    _check_sigma_x(sigma_x)
+    t = _check_real(t, "t")
+    _check_real(sigma_x, "sigma_x", "> 0")
+    _check_int(n, "n", 1)
     # sigma_x ** 2 on a float raises OverflowError where sigma_x * sigma_x reads inf
     base = TAIL_CONSTANT * t / (sigma_x * sigma_x)
     if base <= 0.0:
@@ -72,7 +71,9 @@ def min_eig_tail_bound(t: float, sigma_x: float, n: int) -> float:
 
 def max_inv_eig_expectation_bound(sigma_x: float, d: int, n: int) -> float:
     """Bound on E[lambda_max(((1/n) X^T X)^{-1})], valid for n > 6d."""
-    _check_sigma_x(sigma_x)
+    _check_real(sigma_x, "sigma_x", "> 0")
+    _check_int(d, "d", 1)
+    _check_int(n, "n", 1)
     if n <= 6 * d:
         raise ParameterError(f"need n > 6d, got n={n}, d={d}")
     return TAIL_CONSTANT / (sigma_x * sigma_x) * (1.0 + 6.0 / (n - 6))
@@ -134,15 +135,12 @@ def min_eig_tail_check(
     assert empirical <= bound.  Every argument is checked before any draw
     (ParameterError, or DimensionError for a mu of neither one nor d values).
     """
-    if not _is_int(reps) or reps < 1:
-        raise ParameterError(f"reps must be an integer >= 1, got {reps!r}")
-    _check_sigma_x(sigma_x)
+    _check_int(reps, "reps", 1)
+    _check_real(sigma_x, "sigma_x", "> 0")
     _check_seed(seed)
-    if not (_is_int(n) and _is_int(d) and d >= 1):
-        raise ParameterError(f"n and d must be integers with d >= 1, got n={n!r}, d={d!r}")
-    t_grid = list(t_grid)
-    if not all(_is_finite_real(t) for t in t_grid):
-        raise ParameterError(f"t_grid must hold finite numbers, got {t_grid}")
+    _check_int(d, "d", 1)
+    _check_int(n, "n", 1)
+    t_grid = [_check_real(t, "each t_grid value") for t in t_grid]
     if n <= 6 * d:
         raise ParameterError(f"need n > 6d, got n={n}, d={d}")
     mu = np.asarray(mu, dtype=float)
@@ -152,10 +150,10 @@ def min_eig_tail_check(
     lambda_mins = _tail_lambda_mins(mu, sigma_x, d, n, reps, seed)
     rows = []
     for t in t_grid:
-        bound = min_eig_tail_bound(float(t), sigma_x, n)
+        bound = min_eig_tail_bound(t, sigma_x, n)
         rows.append(
             TailRow(
-                t=float(t),
+                t=t,
                 empirical_tail=float(np.mean(lambda_mins < t)),
                 bound=bound,
                 vacuous=bound >= 1.0,

@@ -29,11 +29,11 @@ from .metrics import UnfairnessReport, _unfairness
 from .model import (
     ModelParams,
     _as_batch,
+    _check_int,
     _check_model,
+    _check_real,
     _check_seed,
     _dot,
-    _is_finite_real,
-    _is_int,
     _ModelStack,
     _norm,
     _report,
@@ -73,28 +73,18 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("n_grid", "d_grid", "M_grid"):
             values = getattr(self, name)
-            if not (
-                isinstance(values, (list, tuple))
-                and values
-                and all(_is_int(v) and v >= 1 for v in values)
-            ):
-                raise ConfigError(f"{name} must be a nonempty list of positive ints")
-            object.__setattr__(self, name, tuple(int(v) for v in values))
-        for name in ("trials", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name in ("B", "U", "sigma_x", "sigma_xi", "delta"):
-            value = getattr(self, name)
-            if not _is_finite_real(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            if not (isinstance(values, (list, tuple)) and values):
+                raise ConfigError(f"{name} must be a nonempty list of ints")
+            values = tuple(_check_int(v, f"each {name} value", 1, ConfigError) for v in values)
+            object.__setattr__(self, name, values)
+        for name, check, rule in (
+            ("trials", _check_int, 1), ("seed", _check_int, 0), ("B", _check_real, "> 0"),
+            ("U", _check_real, "> 0"), ("sigma_x", _check_real, "> 0"),
+            ("sigma_xi", _check_real, ">= 0"), ("delta", _check_real, ""),
+        ):
+            object.__setattr__(self, name, check(getattr(self, name), name, rule, ConfigError))
         if self.out is not None and not (isinstance(self.out, str) and self.out):
             raise ConfigError(f"out must be a nonempty path string, got {self.out!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.B <= 0 or self.U <= 0 or self.sigma_x <= 0 or self.sigma_xi < 0:
-            raise ConfigError("B, U, sigma_x must be positive and sigma_xi >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -354,8 +344,7 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     ``threads`` = 1 the calling thread runs the jobs in turn; otherwise a pool
     of ``threads`` workers runs them and its ``map`` returns them in order.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    threads = _check_int(threads, "threads", 1, ConfigError)
     cells = [
         (n, d, M)
         for n in config.n_grid
@@ -416,8 +405,7 @@ def run_lower_bound_report(
     sweep's, each fitted as one batch; n's trial t draws its cell statistics
     from stream (n's index, t, 1).
     """
-    if not (_is_int(trials) and trials >= 2):
-        raise ParameterError(f"need an integer trials >= 2 for a standard error, got {trials!r}")
+    _check_int(trials, "trials", 2)
     _check_seed(seed)
     n_grid = list(n_grid)
     members, K, kl_max, epsilon = _fano_ladder(

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .model import (
     ModelParams,
+    _check_int,
+    _check_real,
     _frozen_array,
-    _is_finite_real,
-    _is_int,
     _rng,
     _rowdot,
     norm_diversity_factor,
@@ -44,8 +44,8 @@ class PackedFamily:
     eps_s: np.ndarray  # (M,)
 
     def __post_init__(self):
-        if not (_is_int(self.d) and _is_int(self.M) and self.d >= 2 and self.M >= 1):
-            raise ParameterError(f"need integers d >= 2 and M >= 1, got d={self.d!r}, M={self.M!r}")
+        object.__setattr__(self, "d", _check_int(self.d, "d", 2))
+        object.__setattr__(self, "M", _check_int(self.M, "M", 1))
         B_s, eps_s = (_per_group(getattr(self, name), self.M, name) for name in ("B_s", "eps_s"))
         if not np.all(B_s > 0.0):
             raise ParameterError(f"B_s must be positive, got {B_s}")
@@ -159,15 +159,14 @@ def gv_code(
         ("block_length", block_length, 1), ("blocks", blocks, 1),
         ("min_dist", min_dist, 0), ("budget", budget, 0),
     ):
-        if not _is_int(value) or value < least:
-            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+        _check_int(value, name, least)
     rng = _rng(seed)
     codewords = [np.empty((0, blocks, block_length), dtype=np.int8)]
-    # the accepted codewords' signs, _GV_SLICE to an array, each sized for at
-    # most the candidates still to come; the first is made before any chunk's
-    # temporaries, so that glibc does not trim it off the heap's top and fault
-    # it in again on the next call
-    slices = [np.empty((blocks, min(_GV_SLICE, budget), block_length))]
+    # the accepted codewords' signs, room for every candidate: only the pages
+    # of accepted ones are touched.  Made before any chunk's temporaries, so
+    # that glibc does not trim it off the heap's top and fault it in again on
+    # the next call
+    codes = np.empty((blocks, budget, block_length))
     n_accepted = 0
     achieved = float(block_length)  # max possible per-block distance
     for start in range(0, budget, _GV_CHUNK):
@@ -178,9 +177,8 @@ def gv_code(
         chunk = _block_signs(drawn)
         far = np.ones(chunk.shape[1], dtype=bool)
         closest = np.full(chunk.shape[1], float(block_length))
-        # the slices that hold codewords: none before the first is accepted
-        for k, codes in enumerate(slices[:-(-n_accepted // _GV_SLICE)]):
-            dists = _block_hamming_from_signs(codes[:, :n_accepted - k * _GV_SLICE], chunk)
+        for k in range(0, n_accepted, _GV_SLICE):
+            dists = _block_hamming_from_signs(codes[:, k:min(k + _GV_SLICE, n_accepted)], chunk)
             far &= _compatible(dists, min_dist).all(axis=0)
             np.minimum(closest, dists.min(axis=(0, 1)), out=closest)
         survivors = np.flatnonzero(far)
@@ -198,15 +196,8 @@ def gv_code(
         np.fill_diagonal(near, block_length)
         achieved = min(achieved, closest[taken].min(initial=achieved), near.min(initial=achieved))
         codewords.append(drawn[survivors[taken]])
-        new = signs[:, taken]
-        while new.shape[1]:
-            at = n_accepted % _GV_SLICE
-            if at == 0 and n_accepted:
-                slices.append(np.empty((blocks, min(_GV_SLICE, budget - start), block_length)))
-            room = new[:, :_GV_SLICE - at]
-            slices[-1][:, at:at + room.shape[1]] = room
-            new = new[:, room.shape[1]:]
-            n_accepted += room.shape[1]
+        codes[:, n_accepted:n_accepted + len(taken)] = signs[:, taken]
+        n_accepted += len(taken)
     return CodeSet(codewords=np.concatenate(codewords), min_block_distance=int(achieved))
 
 
@@ -268,8 +259,7 @@ def kl_conditional(theta: ModelParams, theta_prime: ModelParams, n_counts) -> fl
     + <mu_s, dbeta>^2 / (2 sigma_xi^2), summed with weights n_s.
     """
     n_counts = _check_shared(theta, theta_prime, n_counts)
-    if theta.sigma_xi <= 0.0:
-        raise ParameterError("kl_conditional requires sigma_xi > 0")
+    _check_real(theta.sigma_xi, "sigma_xi", "> 0")
     dmu = theta.mu - theta_prime.mu
     dbeta = theta.beta - theta_prime.beta
     sx2, sxi2 = np.square(theta.sigma_x), np.square(theta.sigma_xi)
@@ -303,8 +293,8 @@ def kl_conditional_sample(
     the result is that of one whole-array draw.
     """
     n_counts = _check_shared(theta, theta_prime, n_counts)
-    if not _is_int(n_mc) or n_mc < 2:
-        raise ParameterError(f"n_mc must be an integer >= 2, got {n_mc!r}")
+    _check_real(theta.sigma_xi, "sigma_xi", "> 0")
+    _check_int(n_mc, "n_mc", 2)
     rng = _rng(seed)
     sx2, sxi2 = np.square(theta.sigma_x), np.square(theta.sigma_xi)
     # log N(x; mu, sx^2 I) - log N(x; mu', sx^2 I) is affine in x
@@ -412,17 +402,15 @@ def _fano_ladder(
     each n's family at the first codeword.
     """
     B_s = build_family(d, M, B_s, 1.0).B_s  # d, M and B_s, checked before p needs M
-    if not all(_is_int(n) for n in n_grid):
-        raise ParameterError(f"n_grid must hold integers, got {n_grid}")
+    n_grid = [_check_int(n, "each n_grid value", 1) for n in n_grid]
     p = np.full(M, 1.0 / M)
-    n_counts = [np.round(int(n) * p) for n in n_grid]
+    n_counts = [np.round(n * p) for n in n_grid]
     if not n_grid or any(counts[0] < 1 for counts in n_counts):
         raise ParameterError(
             f"n_grid must be nonempty and every n must give each of the M={M} "
             f"groups at least one row (round(n / M) >= 1), got n_grid={n_grid}"
         )
-    if not (_is_int(budget) and budget >= 2):
-        raise ParameterError(f"code_budget must be an integer >= 2, got {budget!r}")
+    _check_int(budget, "code_budget", 2)
     families = [
         build_family(d, M, B_s, hard_instance_eps(d, M, sigma_xi, sigma_x, B_s, counts))
         for counts in n_counts
@@ -505,11 +493,9 @@ def fano_value(epsilon: float, K: int, avg_kl: float) -> float:
     over the code is a valid choice.  K must be an integer >= 2, and epsilon
     and avg_kl finite and >= 0 (ParameterError).
     """
-    if not (_is_int(K) and K >= 2):
-        raise ParameterError(f"Fano bound needs an integer K >= 2 hypotheses, got {K!r}")
+    _check_int(K, "K", 2)
     for name, value in (("epsilon", epsilon), ("avg_kl", avg_kl)):
-        if not (_is_finite_real(value) and value >= 0.0):
-            raise ParameterError(f"{name} must be a finite number >= 0, got {value!r}")
+        _check_real(value, name, ">= 0")
     return max(epsilon * (1.0 - (avg_kl + math.log(2.0)) / math.log(K)), 0.0)
 
 
@@ -528,8 +514,7 @@ def hard_instance_eps(
     if M * (d - 1) <= 16:
         raise ParameterError(f"need M(d-1) > 16, got d={d}, M={M}")
     for name, sigma in (("sigma_x", sigma_x), ("sigma_xi", sigma_xi)):
-        if not (_is_finite_real(sigma) and sigma > 0.0):
-            raise ParameterError(f"{name} must be a finite number > 0, got {sigma!r}")
+        _check_real(sigma, name, "> 0")
     n_counts = _check_counts(n_counts, M)
     if not np.all(n_counts > 0.0):
         raise ParameterError(f"n_counts must be positive for a packing radius, got {n_counts}")

@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .model import (
     GroupAffineRegressor,
     ModelParams,
+    _check_finite,
     _check_group,
+    _check_int,
+    _check_real,
+    _check_regressors,
     _dot,
-    _is_int,
     _ModelStack,
     _norm,
     _streams,
@@ -41,8 +44,8 @@ class GaussianLaw1D:
     std: float
 
     def __post_init__(self):
-        if self.std < 0.0:
-            raise ParameterError(f"std must be nonnegative, got {self.std!r}")
+        object.__setattr__(self, "mean", _check_real(self.mean, "mean"))
+        object.__setattr__(self, "std", _check_real(self.std, "std", ">= 0"))
 
 
 def _w2(mean_a, std_a, mean_b, std_b) -> np.ndarray:
@@ -67,6 +70,8 @@ def w2_empirical(xs, ys) -> float:
     ys = np.sort(np.asarray(ys, dtype=float))
     if xs.size == 0 or ys.size == 0:
         raise ParameterError("w2_empirical needs nonempty samples")
+    # NaN sorts last and -inf and inf to the ends, so the ends show any non-finite value
+    _check_finite(np.array([xs[0], xs[-1], ys[0], ys[-1]]), "w2_empirical's samples")
     if xs.size == ys.size:
         # in place on the sorted copies: no third sample-sized array
         return float(np.sqrt(np.mean(np.square(np.subtract(xs, ys, out=xs), out=xs))))
@@ -89,8 +94,7 @@ def conditional_law(
     f: GroupAffineRegressor, params: ModelParams, s: int
 ) -> GaussianLaw1D:
     """Law of f(X, S) given S = s: Gaussian with mean <w_s, mu_s> + b_s."""
-    if f.d != params.d or f.M != params.M:
-        raise DimensionError("regressor shape does not match the model")
+    _check_regressors(params, f)
     s = _check_group(s, params.M)
     means, stds = _laws(f.w[None], f.b[None], _ModelStack.of([params]))
     return GaussianLaw1D(mean=float(means[0, s]), std=float(stds[0, s]))
@@ -174,8 +178,7 @@ def _unfairness(w: np.ndarray, b: np.ndarray, models: _ModelStack) -> Unfairness
 
 def unfairness(f: GroupAffineRegressor, params: ModelParams) -> UnfairnessReport:
     """Compute all three unfairness scores of f analytically under the model."""
-    if f.d != params.d or f.M != params.M:
-        raise DimensionError("regressor shape does not match the model")
+    _check_regressors(params, f)
     return _trial(_unfairness(f.w[None], f.b[None], _ModelStack.of([params])), 0)
 
 
@@ -188,8 +191,7 @@ def mc_excess_risk(
     regressor, so f = fair gives exactly 0) or any callable f(x, s) mapping
     an (m, d) array and an (m,) label array to m predictions.
     """
-    if not _is_int(n_mc) or n_mc < 1:
-        raise ParameterError(f"n_mc must be an integer >= 1, got {n_mc!r}")
+    _check_int(n_mc, "n_mc", 1)
     affine = isinstance(f, GroupAffineRegressor)
     if affine:
         dw = f.w - oracle.fdp.w

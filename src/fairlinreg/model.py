@@ -36,9 +36,19 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_finite_real(value) -> bool:
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and math.isfinite(value)
+def _check_int(value, name: str, least: int, error=ParameterError) -> int:
+    """``value`` as an int, once it is an integer (not a bool) >= ``least``."""
+    if not (_is_int(value) and value >= least):
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _check_real(value, name: str, bound: str = "", error=ParameterError) -> float:
+    """``value`` as a float, once it is a finite number meeting ``bound``: "", ">= 0" or "> 0"."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    if not (real and {"": True, ">= 0": value >= 0, "> 0": value > 0}[bound]):
+        raise error(f"{name} must be a finite number{bound and ' '}{bound}, got {value!r}")
+    return float(value)
 
 
 def _frozen_array(a, name: str, dtype=float) -> np.ndarray:
@@ -58,9 +68,7 @@ def _frozen_array(a, name: str, dtype=float) -> np.ndarray:
 
 def _check_seed(seed) -> int:
     """``seed`` as an int, once it is an integer >= 0."""
-    if not (_is_int(seed) and seed >= 0):
-        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
+    return _check_int(seed, "seed", 0)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -281,12 +289,9 @@ class ModelParams:
         for name in ("beta", "mu", "p"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), name))
         for name in ("sigma_x", "sigma_xi", "B", "U"):
-            value = getattr(self, name)
-            if not _is_finite_real(value):
-                raise ParameterError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if not (_is_int(self.d) and _is_int(self.M) and self.d >= 1 and self.M >= 1):
-            raise DimensionError(f"need integer d, M >= 1, got d={self.d!r}, M={self.M!r}")
+            object.__setattr__(self, name, _check_real(getattr(self, name), name))
+        for name in ("d", "M"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 1, DimensionError))
         for name, arr in (("beta", self.beta), ("mu", self.mu)):
             if arr.shape != (self.M, self.d):
                 raise DimensionError(
@@ -329,8 +334,7 @@ def _check_model(params: ModelParams, n: int) -> ModelParams:
     report = validate_params(params)
     if report:
         raise ParameterError("invalid model parameters: " + "; ".join(report))
-    if not (_is_int(n) and n >= 1):
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    _check_int(n, "n", 1)
     return params
 
 
@@ -417,7 +421,7 @@ class Dataset:
     M: int
 
     def __post_init__(self):
-        _check_group_count(self.M)
+        object.__setattr__(self, "M", _check_int(self.M, "M", 1, DimensionError))
         object.__setattr__(self, "x", _frozen_array(self.x, "x"))
         s = _frozen_array(self.s, "s", dtype=None)
         object.__setattr__(self, "y", _frozen_array(self.y, "y"))
@@ -425,7 +429,7 @@ class Dataset:
             self.x.shape[0],
         ):
             raise DimensionError("inconsistent dataset array shapes")
-        _check_labels(s, self.M)
+        _check_labels(s, self.M, self.n)
         s = s.astype(np.int64, copy=False)  # a new array only if s is not int64 already
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
@@ -467,7 +471,7 @@ class Dataset:
 
         An M that is not an integer >= 1 is a DimensionError before the file is read.
         """
-        _check_group_count(M)
+        M = _check_int(M, "M", 1, DimensionError)
         with open(path) as fh:
             d = len(fh.readline().split(",")) - 2
             if d < 1:
@@ -550,22 +554,27 @@ class GroupAffineRegressor:
             raise DimensionError(f"x must be 2-d, one row per label, got shape {x.shape}")
         if x.shape[1] != self.d:
             raise DimensionError(f"x has dimension {x.shape[1]}, expected {self.d}")
-        if s.shape != (x.shape[0],):
-            raise DimensionError(f"need one group label per row of x: {s.shape} for {len(x)} rows")
-        _check_labels(s, self.M)
+        _check_labels(s, self.M, len(x))
         s = s.astype(np.int64, copy=False)
         return np.einsum("ij,ij->i", self.w[s], x) + self.b[s]
 
 
-def _check_group_count(M) -> None:
-    if not (_is_int(M) and M >= 1):
-        raise DimensionError(f"need an integer group count M >= 1, got M={M!r}")
-
-
-def _check_labels(s: np.ndarray, M: int) -> None:
-    """Raise DimensionError unless every label in ``s`` is an integer in [0, M)."""
+def _check_labels(s: np.ndarray, M: int, rows: int) -> None:
+    """Raise DimensionError unless ``s`` holds one integer in [0, M) for each of ``rows`` rows."""
+    if s.shape != (rows,):
+        raise DimensionError(f"need one group label per row of x: {s.shape} for {rows} rows")
     if s.size and not (s.dtype.kind in "iu" and s.min() >= 0 and s.max() < M):
         raise DimensionError(f"group labels out of range: need integers in [0, {M})")
+
+
+def _check_regressors(params: ModelParams, *regressors: GroupAffineRegressor) -> None:
+    """Raise DimensionError unless every regressor's w has the model's shape (M, d)."""
+    shapes = [f.w.shape for f in regressors]
+    if any(shape != (params.M, params.d) for shape in shapes):
+        raise DimensionError(
+            f"regressor w shapes {' and '.join(map(str, shapes))} do not match the "
+            f"model's (M, d) = ({params.M}, {params.d})"
+        )
 
 
 def _check_group(s, M: int) -> int:

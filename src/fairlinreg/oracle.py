@@ -15,7 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDirectionError, DimensionError
-from .model import GroupAffineRegressor, ModelParams, _check_finite, _dot, _ModelStack, _rowdot
+from .model import (
+    GroupAffineRegressor, ModelParams, _check_finite, _check_group, _check_labels,
+    _check_regressors, _dot, _ModelStack, _rowdot,
+)
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,10 @@ def quantile_compose_fdp(params: ModelParams, x: np.ndarray, s) -> np.ndarray | 
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     xm = np.atleast_2d(x)
-    sv = np.full(xm.shape[0], s, dtype=np.int64) if np.isscalar(s) else np.asarray(s)
     if xm.shape[1] != params.d:
         raise DimensionError(f"x has dimension {xm.shape[1]}, expected {params.d}")
+    sv = np.full(len(xm), _check_group(s, params.M)) if np.isscalar(s) else np.asarray(s)
+    _check_labels(sv, params.M, len(xm))
 
     fstar = np.einsum("ij,ij->i", params.beta[sv], xm)
     mean_s = np.einsum("ij,ij->i", params.beta[sv], params.mu[sv])
@@ -122,11 +126,7 @@ def gaussian_l2_distance(
     f: GroupAffineRegressor, g: GroupAffineRegressor, params: ModelParams
 ) -> float:
     """Exact E[(f(X,S) - g(X,S))^2] under the model, for two group-affine maps."""
-    if f.w.shape != g.w.shape or f.d != params.d or f.M != params.M:
-        raise DimensionError(
-            f"regressor w shapes {f.w.shape} and {g.w.shape} do not match the "
-            f"model's (M, d) = ({params.M}, {params.d})"
-        )
+    _check_regressors(params, f, g)
     return float(_l2_distance(f.w - g.w, f.b - g.b, _ModelStack.of([params]))[0])
 
 

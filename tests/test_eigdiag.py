@@ -71,6 +71,11 @@ class TestGramEigs:
         with pytest.raises(ParameterError, match="overflows"):
             gram_eigs(np.array([[1e200, 0.0], [0.0, 1.0]]))
 
+    def test_stack_of_arrays_rejected(self):
+        # a 3-d array raised a bare ValueError from unpacking its shape
+        with pytest.raises(DimensionError, match="3-d"):
+            gram_eigs(np.ones((2, 3, 2)))
+
 
 class TestTailCheck:
     def test_requires_enough_samples(self):
@@ -214,6 +219,18 @@ class TestTailCheck:
         with pytest.raises(ParameterError, match="sigma_x"):
             min_eig_tail_bound(0.5, sigma_x, 60)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "t, n, name",
+        [(np.nan, 60, "t"), (np.inf, 60, "t"), ("0.5", 60, "t"), (0.5, -6, "n"), (0.5, 0, "n"),
+         (0.5, 6.5, "n"), (0.5, True, "n")],
+        ids=["nan_t", "inf_t", "str_t", "negative_n", "zero_n", "float_n", "bool_n"],
+    )
+    def test_bound_rejects_bad_t_or_n(self, t, n, name):
+        # nan read nan, and n = -6 read 0.00216
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            min_eig_tail_bound(t, 1.0, n)
+
 
 class TestInverseExpectationBound:
     def test_monte_carlo_mean_below_bound(self):
@@ -241,3 +258,13 @@ class TestInverseExpectationBound:
     def test_bad_sigma_x_rejected(self, sigma_x):
         with pytest.raises(ParameterError, match="sigma_x"):
             max_inv_eig_expectation_bound(sigma_x, 2, 60)
+
+    @pytest.mark.parametrize(
+        "d, n, name",
+        [(1, 6.5, "n"), (0, 60, "d"), (-1, 60, "d"), (1.5, 60, "d"), (2, 60.0, "n")],
+        ids=["float_n", "zero_d", "negative_d", "float_d", "integral_float_n"],
+    )
+    def test_bad_d_or_n_rejected(self, d, n, name):
+        # each returned a bound
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer >= 1"):
+            max_inv_eig_expectation_bound(1.0, d, n)

@@ -335,10 +335,10 @@ class TestRunSweep:
         gates = np.array([e.gate_12d for e in estimates])
         assert not gates.any() if config.n_grid == (45,) else gates.all()
 
-    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, True])
     def test_nonpositive_threads_rejected(self, threads):
         config = SweepConfig(n_grid=(300,), d_grid=(2,), M_grid=(2,), trials=1, seed=5)
-        with pytest.raises(ConfigError, match="threads must be >= 1"):
+        with pytest.raises(ConfigError, match="threads must be an integer >= 1"):
             run_sweep(config, threads=threads)
 
     def test_schema_tag_and_columns(self, tmp_path):
@@ -774,7 +774,7 @@ class TestCli:
         data.write_text("x_1,s,y\n1,1,3\n")
         argv = ["fit", "--data", str(data), "--d", "1", "--M", "0"]
         assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
-        assert "group count M >= 1" in capsys.readouterr().err
+        assert "M must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rows",

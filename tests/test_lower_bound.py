@@ -272,8 +272,11 @@ class TestKl:
             with pytest.raises(error):
                 kl_conditional(theta, other, [10, 10])
         noiseless = make_params([[1.0, 0.2], [0.3, 0.8]], sigma_xi=0.0, B=2.0)
-        with pytest.raises(ParameterError, match="sigma_xi > 0"):
+        with pytest.raises(ParameterError, match="sigma_xi must be a finite number > 0"):
             kl_conditional(noiseless, noiseless, [10, 10])
+        # the sampled KL divided by zero and returned a non-finite value
+        with pytest.raises(ParameterError, match="sigma_xi must be a finite number > 0"):
+            kl_conditional_sample(noiseless, noiseless, [10, 10], 100, 0)
 
     @pytest.mark.parametrize("seed", [-1, 0.5], ids=["negative", "float"])
     def test_sample_kl_bad_seed_rejected(self, seed):

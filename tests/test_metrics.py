@@ -77,6 +77,18 @@ class TestW2Empirical:
         with pytest.raises(ParameterError):
             w2_empirical([], [1.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([np.nan, 1.0], [0.0, 1.0]), ([0.0, 1.0], [np.inf, 1.0]), ([-np.inf, 1.0], [-np.inf, 1.0]),
+         ([0.0, np.nan, 1.0], [0.0, 1.0])],
+        ids=["nan", "inf", "both_minus_inf", "unequal_lengths_nan"],
+    )
+    def test_nonfinite_input_rejected(self, xs, ys):
+        # NaN or inf read nan or inf
+        with pytest.raises(ParameterError, match="must be finite"):
+            w2_empirical(xs, ys)
+
 
 class TestConditionalLaw:
     def test_zero_slope_is_point_mass(self):
@@ -115,6 +127,11 @@ class TestConditionalLaw:
     def test_bad_law_regressor_or_group_rejected(self):
         with pytest.raises(ParameterError, match="std"):
             GaussianLaw1D(0.0, -1.0)
+        # a NaN or inf mean or std made every distance read nan
+        for mean, std, name in [(np.nan, 1.0, "mean"), (np.inf, 1.0, "mean"),
+                                (0.0, np.nan, "std"), (0.0, np.inf, "std")]:
+            with pytest.raises(ParameterError, match=f"^{name} must be a finite number"):
+                GaussianLaw1D(mean, std)
         params = make_params([[1.0, 0.0], [0.0, 1.0]])
         wide = GroupAffineRegressor(w=np.zeros((2, 3)), b=np.zeros(2))
         with pytest.raises(DimensionError, match="shape"):

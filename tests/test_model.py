@@ -252,7 +252,7 @@ class TestConstructorChecks:
     def test_dataset_bad_group_count_rejected(self, n, M):
         # M = 2.5 constructed, M = 0 constructed on an empty dataset, and
         # M = '2' raised numpy's bare UFuncTypeError
-        with pytest.raises(DimensionError, match="group count M >= 1"):
+        with pytest.raises(DimensionError, match="M must be an integer >= 1"):
             Dataset(x=np.zeros((n, 2)), s=np.zeros(n, dtype=np.int64), y=np.zeros(n), M=M)
 
     def test_regressor_shape_and_predict_width_rejected(self):
@@ -334,7 +334,7 @@ class TestSerialization:
     @pytest.mark.parametrize("M", [0, 2.5, "2"])
     def test_dataset_csv_bad_group_count_rejected_before_reading(self, tmp_path, M):
         # the file does not exist: M is checked before it is opened
-        with pytest.raises(DimensionError, match="group count M >= 1"):
+        with pytest.raises(DimensionError, match="M must be an integer >= 1"):
             Dataset.from_csv(tmp_path / "missing.csv", M=M)
 
     def test_dataset_csv_bytes(self, tmp_path):

@@ -108,6 +108,24 @@ class TestQuantileCompose:
         with pytest.raises(DimensionError, match="expected 2"):
             quantile_compose_fdp(params, x, 0)
 
+    @pytest.mark.parametrize(
+        "x, s, match",
+        [
+            (np.zeros(2), -1, "group index"),
+            (np.zeros(2), 0.5, "group index"),
+            (np.zeros((3, 2)), 5, "group index"),
+            (np.zeros((2, 2)), [0, 3], "out of range"),
+            (np.zeros((2, 2)), [0.0, 1.0], "out of range"),
+            (np.zeros((3, 2)), [0, 1], "one group label per row"),
+        ],
+        ids=["negative", "half", "past_M", "past_M_in_array", "float_array", "short_labels"],
+    )
+    def test_bad_labels_rejected(self, x, s, match):
+        # -1 evaluated group M - 1, 0.5 group 0, and 5 or [0, 3] raised a bare IndexError
+        params = make_params([[1.0, 0.0], [0.0, 2.0]], B=2.0)
+        with pytest.raises(DimensionError, match=match):
+            quantile_compose_fdp(params, x, s)
+
 
 class TestStandardNormal:
     def test_cdf_matches_scipy_ndtr(self):
