@@ -83,9 +83,7 @@ def _cmd_lower_bound(args) -> None:
     try:
         n_grid = [int(tok) for tok in args.n_grid.split(",") if tok]
     except ValueError:
-        n_grid = []
-    if not n_grid:
-        raise ConfigError("--n-grid must be a comma-separated list of ints")
+        raise ConfigError("--n-grid must be a comma-separated list of ints") from None
     run_lower_bound_report(
         d=args.d,
         M=args.M,
@@ -204,8 +202,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         # looked up on each call, not bound into the shared parser
         globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (

@@ -379,21 +379,19 @@ def _gated(sizes: np.ndarray, d: int) -> np.ndarray:
 
 
 def _estimate(
-    sizes: np.ndarray, mean_sums: np.ndarray, coef: np.ndarray
+    sizes: np.ndarray, gated: np.ndarray, mean_sums: np.ndarray, coef: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, ComponentEstimates]:
     """The step of ``fit`` that both routes share: the estimates and their assembly.
 
     For T trials at once: ``sizes`` (T, M, 5) counts the rows of each
-    group's five blocks, ``mean_sums`` (T, M, 2, d) holds Σx of its two
-    mean blocks, and ``coef`` (T, M, 3, d) the OLS coefficients of its norm,
-    direction and coefficient blocks where ``_gated`` is True, zeros
-    elsewhere.  Returns the regressors' w (T, M, d) and b (T, M) and the
-    estimates, each per trial.
+    group's five blocks, ``gated`` (T, M, 3) is their ``_gated`` mask,
+    ``mean_sums`` (T, M, 2, d) holds Σx of its two mean blocks, and ``coef``
+    (T, M, 3, d) the OLS coefficients of its norm, direction and coefficient
+    blocks where ``gated`` is True, zeros elsewhere.  Returns the
+    regressors' w (T, M, d) and b (T, M) and the estimates, each per trial.
     """
-    d = mean_sums.shape[-1]
     counts = sizes[..., :3].sum(axis=-1)
     p_hat = counts / counts.sum(axis=-1, keepdims=True)
-    gated = _gated(sizes, d)
     gate_18d, gate_12d = gated[..., 0], gated[..., 2]
 
     norm_hat_s = _norm(coef[..., 0, :])
@@ -437,7 +435,7 @@ def _fit_cells(
     gated = _gated(size, total.shape[-1])
     coef = np.zeros(xty.shape)
     coef[gated] = _solve_normal_equations(gram[gated], xty[gated])
-    return _estimate(size, total[:, :, MEAN_BLOCKS], coef)
+    return _estimate(size, gated, total[:, :, MEAN_BLOCKS], coef)
 
 
 def _fit_rows(data: Dataset, split: SplitPlan) -> tuple[np.ndarray, np.ndarray, ComponentEstimates]:
@@ -450,11 +448,12 @@ def _fit_rows(data: Dataset, split: SplitPlan) -> tuple[np.ndarray, np.ndarray, 
         [[np.take(data.x, group[k], axis=0).sum(axis=0) for k in MEAN_BLOCKS] for group in blocks]
     ).reshape(1, M, 2, d)
     coef = np.zeros((1, M, 3, d))
+    gated = _gated(sizes, d)
     with np.errstate(over="ignore", invalid="ignore"):  # an XᵀX that overflows fails its gate
-        for s, j in zip(*np.nonzero(_gated(sizes, d)[0])):
+        for s, j in zip(*np.nonzero(gated[0])):
             idx = blocks[s][REGRESSION_BLOCKS[j]]
             coef[0, s, j] = ols(np.take(data.x, idx, axis=0), np.take(data.y, idx))
-    return _estimate(sizes, mean_sums, coef)
+    return _estimate(sizes, gated, mean_sums, coef)
 
 
 def fit(

@@ -422,17 +422,13 @@ def run_lower_bound_report(
     # each n's risks scaled by a power of two, as ``_norm`` scales: exact, and a
     # risk above ~1e154 does not overflow when its deviation is squared
     _, exponent = np.frexp(risks.max(axis=1))
-    spread = [np.ldexp(np.ldexp(r, -e).std(ddof=1), e) for r, e in zip(risks, exponent)]
-    records = [
-        {
-            "d": d, "M": M, "n": n, "epsilon": epsilon[n_idx], "K": K, "kl": kl_max[n_idx],
-            "fano_value": fano_value(epsilon[n_idx], K, kl_max[n_idx]),
-            "est_risk_mean": float(risks[n_idx].mean()),
-            "est_risk_se": float(spread[n_idx] / math.sqrt(trials)),
-        }
-        for n_idx, n in enumerate(n_grid)
-    ]
-    result = SweepResult.from_records(records)
+    spread = np.ldexp(np.ldexp(risks, -exponent[:, None]).std(axis=1, ddof=1), exponent)
+    fano = np.array([fano_value(eps, K, kl) for eps, kl in zip(epsilon, kl_max)])
+    result = SweepResult({
+        "d": np.full(len(n_grid), d), "M": np.full(len(n_grid), M), "n": np.array(n_grid),
+        "epsilon": epsilon, "K": np.full(len(n_grid), K), "kl": kl_max, "fano_value": fano,
+        "est_risk_mean": risks.mean(axis=1), "est_risk_se": spread / math.sqrt(trials),
+    })
     if out is not None:
         result.write_csv(out, schema=LOWER_BOUND_SCHEMA)
     return result

@@ -151,9 +151,9 @@ def gv_code(
     candidates far enough from all of them survive; one more gives the
     distances among the survivors, and a forward scan accepts each survivor
     still live and drops the later ones too close to it.  Codewords and
-    distance are those of the one-at-a-time greedy, and only the accepted
-    codewords are kept.  block_length and blocks are integers >= 1, and
-    min_dist an integer >= 0, where 0 rejects only duplicates.
+    distance are those of the one-at-a-time greedy; codewords is the int8
+    cast of the accepted signs.  block_length and blocks are integers >= 1,
+    and min_dist an integer >= 0, where 0 rejects only duplicates.
     """
     for name, value, least in (
         ("block_length", block_length, 1), ("blocks", blocks, 1),
@@ -161,7 +161,6 @@ def gv_code(
     ):
         _check_int(value, name, least)
     rng = _rng(seed)
-    codewords = [np.empty((0, blocks, block_length), dtype=np.int8)]
     # the accepted codewords' signs, room for every candidate: only the pages
     # of accepted ones are touched.  Made before any chunk's temporaries, so
     # that glibc does not trim it off the heap's top and fault it in again on
@@ -195,10 +194,10 @@ def gv_code(
         near = inner.min(axis=0, initial=block_length)[np.ix_(taken, taken)]
         np.fill_diagonal(near, block_length)
         achieved = min(achieved, closest[taken].min(initial=achieved), near.min(initial=achieved))
-        codewords.append(drawn[survivors[taken]])
         codes[:, n_accepted:n_accepted + len(taken)] = signs[:, taken]
         n_accepted += len(taken)
-    return CodeSet(codewords=np.concatenate(codewords), min_block_distance=int(achieved))
+    codewords = np.ascontiguousarray(codes[:, :n_accepted].transpose(1, 0, 2), dtype=np.int8)
+    return CodeSet(codewords=codewords, min_block_distance=int(achieved))
 
 
 def _compatible(dists: np.ndarray, min_dist: int) -> np.ndarray:
@@ -334,23 +333,23 @@ def _flip_kl(B_s, eps_s, n_counts, sigma_x: float, sigma_xi: float) -> np.ndarra
     return 2.0 * np.square(sigma_x) * B_s ** 2 * n_counts / np.square(sigma_xi) * eps_s ** 2
 
 
-def _flip_separation(family: PackedFamily, p, sigma_x: float) -> np.ndarray:
+def _flip_separation(B_s, eps_s, p, sigma_x: float) -> np.ndarray:
     """Per block s, the two-point separation of packed members whose signs differ in all of it.
 
     It is p_s bar^2 sigma_x^2 eps_s^2 with bar = p . B_s, and each differing
     sign adds 1/(d-1) of it.
     """
     p = np.asarray(p, dtype=float)
-    bar = float(p @ family.B_s)
+    bar = float(p @ B_s)
     try:
         bar_sq = bar ** 2
     except OverflowError:
         raise ParameterError(f"weighted norm p . B_s = {bar:.6g} is too large to square") from None
-    return p * bar_sq * np.square(sigma_x) * family.eps_s ** 2
+    return p * bar_sq * np.square(sigma_x) * eps_s ** 2
 
 
 def _pair_sum(flips: np.ndarray, d_h: np.ndarray, block_length: int) -> np.ndarray:
-    """A packed pair's KL or separation from its per-block Hamming distances d_h (..., M)."""
+    """Packed pairs' KL or separation from their per-block Hamming distances d_h (..., M)."""
     terms = flips * d_h  # divided in place: a second chunk-sized array raises peak RSS
     return np.divide(terms, block_length, out=terms).sum(axis=-1)
 
@@ -377,25 +376,26 @@ def packed_pair_separation(
     Equals one quarter of the exact L2 distance between the members' fair
     regressors — the value of the two-point lower bound at mu = 0.
     """
-    flips = _flip_separation(family, p, sigma_x)
+    flips = _flip_separation(family.B_s, family.eps_s, p, sigma_x)
     return _pair_sum(flips, block_hamming(v, v_prime), family.d - 1)
 
 
-# Pairs per step of the code's pair reduction: bounds its working memory
-# (about _PAIR_CHUNK * M * 8 bytes per array) whatever the code size.
+# (pair, n) terms per step of the code's pair reduction: bounds its working
+# memory (about _PAIR_CHUNK * M * 8 bytes per array) whatever K and the ladder.
 _PAIR_CHUNK = 8192
 
 
 def _fano_ladder(
     d: int, M: int, n_grid: list, B_s, sigma_x: float, sigma_xi: float, budget: int, seed: int
-) -> tuple[list[ModelParams], int, list[float], list[float]]:
+) -> tuple[list[ModelParams], int, np.ndarray, np.ndarray]:
     """The Fano side of ``run_lower_bound_report``: each n's member, K, worst KL and separation.
 
     Before the code search it checks d, M and B_s as ``PackedFamily`` does,
     a nonempty n_grid of integers with round(n / M) >= 1 (no group's KL
     count is 0), sigma_x and sigma_xi as ``hard_instance_eps`` does, and an
-    integer budget >= 2; K < 2 codewords is a ParameterError.  Every pair
-    i < j of codewords is scored in chunks of at most _PAIR_CHUNK pairs,
+    integer budget >= 2; K < 2 codewords is a ParameterError.  The N values
+    of n give (N, M) counts and radii, whose (N, 1, M) KL and separation
+    flips broadcast over each chunk of at most _PAIR_CHUNK (pair, n) terms,
     whose per-block Hamming distances come once for all n.  Each pair's (M,)
     terms stay a contiguous last axis, so every value is the one
     ``packed_pair_kl`` or ``packed_pair_separation`` gives.  The member is
@@ -404,37 +404,34 @@ def _fano_ladder(
     B_s = build_family(d, M, B_s, 1.0).B_s  # d, M and B_s, checked before p needs M
     n_grid = [_check_int(n, "each n_grid value", 1) for n in n_grid]
     p = np.full(M, 1.0 / M)
-    n_counts = [np.round(n * p) for n in n_grid]
-    if not n_grid or any(counts[0] < 1 for counts in n_counts):
+    n_counts = np.round(np.multiply.outer(np.array(n_grid, dtype=float), p))
+    if not n_grid or np.any(n_counts[:, 0] < 1):
         raise ParameterError(
             f"n_grid must be nonempty and every n must give each of the M={M} "
             f"groups at least one row (round(n / M) >= 1), got n_grid={n_grid}"
         )
     _check_int(budget, "code_budget", 2)
-    families = [
-        build_family(d, M, B_s, hard_instance_eps(d, M, sigma_xi, sigma_x, B_s, counts))
-        for counts in n_counts
-    ]
-    kl_flips = [_flip_kl(f.B_s, f.eps_s, c, sigma_x, sigma_xi) for f, c in zip(families, n_counts)]
-    sep_flips = [_flip_separation(f, p, sigma_x) for f in families]
+    eps_s = np.array([hard_instance_eps(d, M, sigma_xi, sigma_x, B_s, c) for c in n_counts])
+    kl_flips = _flip_kl(B_s, eps_s, n_counts, sigma_x, sigma_xi)[:, None]
+    sep_flips = _flip_separation(B_s, eps_s, p, sigma_x)[:, None]
     code = gv_code(d - 1, M, max((d - 1) // 8, 1), budget, seed)
     K = code.size
     if K < 2:
         raise ParameterError(f"Fano bound needs K >= 2 codewords, code_budget={budget} gave K={K}")
     signs = _block_signs(code.codewords)
-    kl_max, eps_min = [0.0] * len(families), [math.inf] * len(families)
+    kl_max, eps_min = np.zeros(len(n_grid)), np.full(len(n_grid), math.inf)
     start = 0
     while start < K - 1:
-        stop = min(start + max(_PAIR_CHUNK // (K - 1 - start), 1), K - 1)
+        stop = min(start + max(_PAIR_CHUNK // (len(n_grid) * (K - 1 - start)), 1), K - 1)
         # rows start..stop-1 against columns start+1..K-1; keep column j > row i
         d_h = _block_hamming_from_signs(signs[:, start:stop], signs[:, start + 1:])
         upper = np.triu(np.ones(d_h.shape[1:], dtype=bool))
         d_h = np.ascontiguousarray(d_h.transpose(1, 2, 0)[upper])  # (pairs, M)
-        for k, (kl_flip, sep_flip) in enumerate(zip(kl_flips, sep_flips)):
-            kl_max[k] = max(kl_max[k], float(_pair_sum(kl_flip, d_h, d - 1).max()))
-            eps_min[k] = min(eps_min[k], float(_pair_sum(sep_flip, d_h, d - 1).min()))
+        np.maximum(kl_max, _pair_sum(kl_flips, d_h, d - 1).max(axis=1), out=kl_max)
+        np.minimum(eps_min, _pair_sum(sep_flips, d_h, d - 1).min(axis=1), out=eps_min)
         start = stop
-    members = [f.params_of(code.codewords[0], p, sigma_x, sigma_xi) for f in families]
+    first = code.codewords[0]
+    members = [build_family(d, M, B_s, e).params_of(first, p, sigma_x, sigma_xi) for e in eps_s]
     return members, K, kl_max, eps_min
 
 

@@ -839,6 +839,7 @@ class TestCli:
             ["fit", "--data", "{data}", "--d", "3", "--M", "2", "--seed", "-1"],
             ["diagnose", "--seed", "-1"],
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "1000", "--seed", "-1"],
+            ["sweep", "--config", "{config}", "--seed", "-1"],
             ["generate", "--params", "{params}", "--n", "0"],
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "0"],
             ["lower-bound", "--d", "9", "--M", "4", "--n-grid", "a,b"],
@@ -858,7 +859,7 @@ class TestCli:
             ["evaluate", "--regressor", "{regressor}", "--params", "{params}"],
         ],
         ids=[
-            "generate_seed", "fit_seed", "diagnose_seed", "lower_bound_seed",
+            "generate_seed", "fit_seed", "diagnose_seed", "lower_bound_seed", "sweep_seed",
             "generate_n0", "n_grid_0", "n_grid_not_ints", "n_grid_zero_group_count",
             "lower_bound_small_dM", "lower_bound_B",
             "threads_0", "threads_negative",
@@ -1050,6 +1051,17 @@ class TestCli:
         assert main(["diagnose", "--out", str(tmp_path / "diag.csv")]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "injected" in err
+
+    def test_failed_diagnostic_check_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a check that fails is exit 3 with one error line, after its row is written
+        monkeypatch.setattr(cli, "_diagnose_rows", lambda seed: [["w2", "forced", 1.0, 0.0, 0]])
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: one or more diagnostic checks failed\n"
+        assert out.read_text().splitlines() == [
+            "suite,name,value,reference,ok", "w2,forced,1,0,0",
+        ]
 
     def test_allocation_failure_exit_code(self, tmp_path, params_file, monkeypatch, capsys):
         def too_large(params, n, seed):

@@ -322,8 +322,10 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "text, match",
         [("x_1,x_2,s,y\n", "no data rows"), ("x_1,x_2,s,y\r\n\r\n", "no data rows"),
-         ("s,y\n1,0.5\n", "header needs x columns")],
-        ids=["header_only", "header_and_blank_line", "no_x_columns"],
+         ("s,y\n1,0.5\n", "header needs x columns"),
+         ("x_1,x_2,s,y\n0.1,0.2,0.3,1,0.5\n", "rows have 5 fields, header has 4"),
+         ("x_1,x_2,s,y\n0.1,1,0.5\n", "rows have 3 fields, header has 4")],
+        ids=["header_only", "header_and_blank_line", "no_x_columns", "wide_rows", "narrow_rows"],
     )
     def test_dataset_csv_without_x_columns_or_rows_rejected(self, tmp_path, text, match):
         path = tmp_path / "data.csv"
